@@ -189,11 +189,18 @@ void TaskCache::EstablishConnections() {
 }
 
 Result<sim::NodeId> TaskCache::OwnerNodeOfChunk(size_t chunk_index) const {
+  if (membership_.load(std::memory_order_acquire) == nullptr)
+    return OwnerNodeOfChunkLocked(chunk_index);  // static map: lock-free
+  // Attached mode: the ownership snapshot moves in lock-step with the
+  // migration records, so a chunk's owner and its in-flight move are always
+  // consistent under one lock.
+  std::lock_guard<std::mutex> lock(migration_mutex_);
+  return OwnerNodeOfChunkLocked(chunk_index);
+}
+
+Result<sim::NodeId> TaskCache::OwnerNodeOfChunkLocked(
+    size_t chunk_index) const {
   if (membership_.load(std::memory_order_acquire) != nullptr) {
-    // Attached mode: the ownership snapshot moves in lock-step with the
-    // migration records, so a chunk's owner and its in-flight move are
-    // always consistent under one lock.
-    std::lock_guard<std::mutex> lock(migration_mutex_);
     if (chunk_index < chunk_owner_.size()) return chunk_owner_[chunk_index];
     return Status::FailedPrecondition("chunk index past ownership map");
   }
@@ -281,11 +288,7 @@ Result<core::FileSlice> TaskCache::SliceFile(CachedChunk& chunk,
 
 size_t TaskCache::PickVictimLocked(const NodePartition& part,
                                    bool ignore_pins) const {
-  const EvictionOracle* oracle = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(oracle_mutex_);
-    oracle = oracle_;
-  }
+  const EvictionOracle* oracle = oracle_.load(std::memory_order_acquire);
   const uint64_t cursor = cursor_.load(std::memory_order_relaxed);
   size_t best = static_cast<size_t>(-1);
   uint64_t best_dist = 0;
@@ -404,13 +407,9 @@ Result<Bytes> TaskCache::FetchChunkBlob(sim::VirtualClock& clock,
   return blob;
 }
 
-Status TaskCache::EnsureLoaded(sim::VirtualClock& clock, sim::NodeId owner,
-                               size_t chunk_index) {
-  NodePartition& part = PartitionFor(owner);
-  {
-    std::lock_guard<std::mutex> lock(part.mutex);
-    if (part.chunks.count(chunk_index) > 0) return Status::Ok();
-  }
+Result<TaskCache::LoadedChunk> TaskCache::LoadChunk(sim::VirtualClock& clock,
+                                                    sim::NodeId owner,
+                                                    size_t chunk_index) {
   SharedCacheTier* tier = shared_tier_.load(std::memory_order_acquire);
   if (tier != nullptr) {
     // Warm start: another task already holds these bytes — adopt the shared
@@ -420,13 +419,10 @@ Status TaskCache::EnsureLoaded(sim::VirtualClock& clock, sim::NodeId owner,
     auto adopted = tier->Adopt(clock, owner, chunk_index);
     if (adopted.ok()) {
       CountAdoption(adopted->buffer.size());
-      InsertChunk(owner, chunk_index, std::move(adopted->buffer),
-                  /*prefetched=*/false, /*ready_at=*/0,
-                  std::move(adopted->verified));
-      return Status::Ok();
+      return LoadedChunk{std::move(adopted->buffer),
+                         std::move(adopted->verified), /*adopted=*/true};
     }
   }
-  // Miss: pull the whole chunk from the server (on-demand policy / recovery).
   uint32_t header_len = 0;
   DIESEL_ASSIGN_OR_RETURN(Bytes blob,
                           FetchChunkBlob(clock, owner, chunk_index, &header_len));
@@ -435,9 +431,26 @@ Status TaskCache::EnsureLoaded(sim::VirtualClock& clock, sim::NodeId owner,
     std::lock_guard<std::mutex> slock(stats_mutex_);
     ++stats_.chunk_loads;
   }
-  core::ChunkBuffer buffer = core::ChunkBuffer::Wrap(std::move(blob), header_len);
-  if (tier != nullptr) tier->Publish(owner, chunk_index, buffer, {}, clock.now());
-  InsertChunk(owner, chunk_index, std::move(buffer));
+  LoadedChunk loaded{core::ChunkBuffer::Wrap(std::move(blob), header_len),
+                     /*verified=*/{}, /*adopted=*/false};
+  if (tier != nullptr) {
+    tier->Publish(owner, chunk_index, loaded.buffer, {}, clock.now());
+  }
+  return loaded;
+}
+
+Status TaskCache::EnsureLoaded(sim::VirtualClock& clock, sim::NodeId owner,
+                               size_t chunk_index) {
+  NodePartition& part = PartitionFor(owner);
+  {
+    std::lock_guard<std::mutex> lock(part.mutex);
+    if (part.chunks.count(chunk_index) > 0) return Status::Ok();
+  }
+  // Miss: adopt or pull the whole chunk (on-demand policy / recovery).
+  DIESEL_ASSIGN_OR_RETURN(LoadedChunk loaded,
+                          LoadChunk(clock, owner, chunk_index));
+  InsertChunk(owner, chunk_index, std::move(loaded.buffer),
+              /*prefetched=*/false, /*ready_at=*/0, std::move(loaded.verified));
   return Status::Ok();
 }
 
@@ -671,91 +684,15 @@ Result<core::FileSlice> TaskCache::GetFileSliceImpl(sim::VirtualClock& clock,
     return content;
   }
 
-  // One-hop fetch from the owner's master client. The owner sits behind a
-  // per-node circuit breaker: transient failures retry with backoff; an
-  // unreachable owner opens the breaker (its in-RAM partition is presumed
-  // lost) and the read degrades to a direct server fetch.
-  CircuitBreaker& breaker = BreakerFor(owner);
-  const RetryPolicy& retry = options_.retry;
-  const uint32_t max_attempts = std::max<uint32_t>(1, retry.max_attempts);
-  const Nanos start = clock.now();
-  Status last = Status::Unavailable("peer fetch not attempted");
-  for (uint32_t attempt = 1; attempt <= max_attempts; ++attempt) {
-    if (!breaker.AllowRequest(clock.now())) {
-      last = Status::Unavailable("circuit open: owner node " +
-                                 std::to_string(owner));
-      break;
-    }
-    Result<core::FileSlice> content = Status::Internal("unset");
-    const Nanos rpc0 = clock.now();
-    if (attempt > 1) RpMetrics().retries.Inc();
-    Status call = fabric_.Call(
-        clock, requester.node, owner, kPeerRequestBytes, meta.length,
-        [&](Nanos arrival) {
-          sim::VirtualClock peer(arrival);
-          content = ReadFromPartition(peer, owner, chunk_index, meta);
-          const Nanos slice0 = peer.now();
-          Nanos t = fabric_.cluster().node(owner).membus().Serve(peer.now(),
-                                                                 meta.length);
-          peer.AdvanceTo(t);
-          RpMetrics().slice_ns.Observe(static_cast<double>(peer.now() - slice0));
-          return peer.now();
-        });
-    RpMetrics().rpc_ns.Observe(static_cast<double>(clock.now() - rpc0));
-    if (span.active()) {
-      span.Note("phase.rpc attempt=" + std::to_string(attempt) +
-                " ns=" + std::to_string(clock.now() - rpc0));
-    }
-    if (call.ok() && !content.status().IsUnavailable()) {
-      if (breaker.OnSuccess(clock.now()) ==
-          CircuitBreaker::Transition::kRecovered) {
-        span.Note("breaker.recovered node=" + std::to_string(owner));
-        obs::Flight().Record(obs::FlightEventKind::kBreaker, clock.now(),
-                             "breaker recovered: n" + std::to_string(owner),
-                             span.id());
-        OnOwnerRecovered(owner, clock.now());
-      }
-      if (content.ok()) {
-        Counters().peer_hits.Inc();
-        span.Note("cache.peer_hit");
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.peer_hits;
-      }
-      return content;
-    }
-    last = call.ok() ? content.status() : call;
-    // A flap of the requester's own node also fails the call; that says
-    // nothing about the owner, so only remote failures charge its breaker
-    // (a held half-open probe slot must still report its outcome).
-    if (fabric_.NodeAvailable(requester.node, clock.now()) ||
-        breaker.state() == CircuitBreaker::State::kHalfOpen) {
-      if (breaker.OnFailure(clock.now()) ==
-          CircuitBreaker::Transition::kOpened) {
-        // Owner presumed crashed: what it cached in RAM is gone.
-        DropNode(owner);
-        Counters().breaker_opens.Inc();
-        BreakerGauge(owner).Set(1.0);
-        span.Note("breaker.open node=" + std::to_string(owner));
-        obs::Flight().Record(obs::FlightEventKind::kBreaker, clock.now(),
-                             "breaker open: n" + std::to_string(owner),
-                             span.id());
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.breaker_opens;
-      }
-    }
-    if (attempt >= max_attempts) break;
-    Nanos wait = retry.BackoffBefore(attempt);
-    if (retry.deadline_budget != 0 &&
-        clock.now() - start + wait > retry.deadline_budget) {
-      break;
-    }
-    RpMetrics().backoff_ns.Observe(static_cast<double>(wait));
-    if (span.active()) {
-      span.Note("phase.backoff ns=" + std::to_string(wait));
-    }
-    clock.Advance(wait);
-  }
-  if (!options_.degraded_reads) return last;
+  // One-hop fetch from the owner's master client: the k=1 multi-get. An
+  // owner that cannot be reached (retries exhausted or breaker open) makes
+  // the read degrade to a direct server fetch.
+  const BatchSub sub{0, chunk_index};
+  Result<core::FileSlice> got[1] = {Status::Internal("unset")};
+  Status fetched = FetchFromOwner(clock, requester, owner, {&sub, 1},
+                                  {&meta, 1}, got, span);
+  if (fetched.ok()) return std::move(got[0]);
+  if (!options_.degraded_reads) return fetched;
   Counters().failovers.Inc();
   span.Note("cache.degraded_read");
   {
@@ -812,15 +749,23 @@ Result<std::vector<core::FileSlice>> TaskCache::GetFiles(
     }
     std::vector<Result<core::FileSlice>> got(subs.size(),
                                              Status::Internal("unset"));
-    FetchOwnerBatch(clock, requester, owner, subs, metas, got);
+    {
+      obs::ScopedSpan multi_get(fabric_.tracer(), "cache.multi_get", clock,
+                                requester.node);
+      multi_get.Note("owner=n" + std::to_string(owner) +
+                     " k=" + std::to_string(subs.size()));
+      (void)FetchFromOwner(clock, requester, owner, subs, metas, got,
+                           multi_get);
+    }
     for (size_t j = 0; j < subs.size(); ++j) {
       if (got[j].ok()) {
         out[subs[j].pos] = std::move(got[j].value());
         continue;
       }
-      // Unserved or failed sub-request: the per-file path owns the
-      // retry/breaker/degraded handling (and reproduces any hard error,
-      // e.g. persistent corruption, exactly as an unbatched run would).
+      // Unserved or failed sub-request: the per-file path retries it as its
+      // own k=1 exchange and applies the degraded fallback (reproducing any
+      // hard error, e.g. persistent corruption, exactly as an unbatched run
+      // would).
       DIESEL_ASSIGN_OR_RETURN(
           out[subs[j].pos], GetFileSlice(clock, requester, metas[subs[j].pos]));
     }
@@ -828,24 +773,27 @@ Result<std::vector<core::FileSlice>> TaskCache::GetFiles(
   return out;
 }
 
-void TaskCache::FetchOwnerBatch(sim::VirtualClock& clock,
-                                net::EndpointId requester, sim::NodeId owner,
-                                std::span<const BatchSub> subs,
-                                std::span<const core::FileMeta> metas,
-                                std::vector<Result<core::FileSlice>>& out) {
-  obs::ScopedSpan span(fabric_.tracer(), "cache.multi_get", clock,
-                       requester.node);
-  span.Note("owner=n" + std::to_string(owner) +
-            " k=" + std::to_string(subs.size()));
+Status TaskCache::FetchFromOwner(sim::VirtualClock& clock,
+                                 net::EndpointId requester, sim::NodeId owner,
+                                 std::span<const BatchSub> subs,
+                                 std::span<const core::FileMeta> metas,
+                                 std::span<Result<core::FileSlice>> out,
+                                 obs::ScopedSpan& span) {
   uint64_t resp_bytes = 0;
   for (const BatchSub& sub : subs) resp_bytes += metas[sub.pos].length;
 
+  // The owner sits behind a per-node circuit breaker: transient failures
+  // retry with backoff; an unreachable owner opens the breaker (its in-RAM
+  // partition is presumed lost) and the caller falls back.
   CircuitBreaker& breaker = BreakerFor(owner);
   const RetryPolicy& retry = options_.retry;
   const uint32_t max_attempts = std::max<uint32_t>(1, retry.max_attempts);
   const Nanos start = clock.now();
-  for (uint32_t attempt = 1; attempt <= max_attempts; ++attempt) {
-    if (!breaker.AllowRequest(clock.now())) return;  // fallback handles it
+  for (uint32_t attempt = 1;; ++attempt) {
+    if (!breaker.AllowRequest(clock.now())) {
+      return Status::Unavailable("circuit open: owner node " +
+                                 std::to_string(owner));
+    }
     const Nanos rpc0 = clock.now();
     if (attempt > 1) RpMetrics().retries.Inc();
     Status call = fabric_.CallBatch(
@@ -869,7 +817,13 @@ void TaskCache::FetchOwnerBatch(sim::VirtualClock& clock,
       span.Note("phase.rpc attempt=" + std::to_string(attempt) +
                 " ns=" + std::to_string(clock.now() - rpc0));
     }
-    if (call.ok()) {
+    // An owner whose every backend read failed transiently served nothing:
+    // that attempt counts against it exactly like a lost exchange.
+    const bool served =
+        call.ok() && !std::all_of(out.begin(), out.end(), [](const auto& r) {
+          return r.status().IsUnavailable();
+        });
+    if (served) {
       if (breaker.OnSuccess(clock.now()) ==
           CircuitBreaker::Transition::kRecovered) {
         span.Note("breaker.recovered node=" + std::to_string(owner));
@@ -878,25 +832,26 @@ void TaskCache::FetchOwnerBatch(sim::VirtualClock& clock,
                              span.id());
         OnOwnerRecovered(owner, clock.now());
       }
-      uint64_t hits = 0;
-      for (const auto& r : out) {
-        if (r.ok()) ++hits;
-      }
+      const uint64_t hits = static_cast<uint64_t>(std::count_if(
+          out.begin(), out.end(), [](const auto& r) { return r.ok(); }));
       if (hits > 0) {
         Counters().peer_hits.Inc(hits);
-        span.Note("cache.peer_hits=" + std::to_string(hits));
+        span.Note(subs.size() == 1 ? "cache.peer_hit"
+                                   : "cache.peer_hits=" + std::to_string(hits));
         std::lock_guard<std::mutex> lock(stats_mutex_);
         stats_.peer_hits += hits;
       }
-      return;
+      return Status::Ok();
     }
-    // The whole exchange failed (drop/flap): every sub-request failed at
-    // once. Same breaker discipline as the per-file path.
-    for (auto& r : out) r = Status::Internal("unset");
+    Status failed = call.ok() ? out[0].status() : call;
+    // A flap of the requester's own node also fails the call; that says
+    // nothing about the owner, so only remote failures charge its breaker
+    // (a held half-open probe slot must still report its outcome).
     if (fabric_.NodeAvailable(requester.node, clock.now()) ||
         breaker.state() == CircuitBreaker::State::kHalfOpen) {
       if (breaker.OnFailure(clock.now()) ==
           CircuitBreaker::Transition::kOpened) {
+        // Owner presumed crashed: what it cached in RAM is gone.
         DropNode(owner);
         Counters().breaker_opens.Inc();
         BreakerGauge(owner).Set(1.0);
@@ -908,11 +863,11 @@ void TaskCache::FetchOwnerBatch(sim::VirtualClock& clock,
         ++stats_.breaker_opens;
       }
     }
-    if (attempt >= max_attempts) return;
+    if (attempt >= max_attempts) return failed;
     Nanos wait = retry.BackoffBefore(attempt);
     if (retry.deadline_budget != 0 &&
         clock.now() - start + wait > retry.deadline_budget) {
-      return;
+      return failed;
     }
     RpMetrics().backoff_ns.Observe(static_cast<double>(wait));
     if (span.active()) {
@@ -970,11 +925,7 @@ std::vector<size_t> TaskCache::OwnedChunkList(sim::NodeId node) const {
 Result<Nanos> TaskCache::ReownChunks(sim::NodeId node,
                                      const std::vector<size_t>& chunks,
                                      Nanos start) {
-  const EvictionOracle* oracle = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(oracle_mutex_);
-    oracle = oracle_;
-  }
+  const EvictionOracle* oracle = oracle_.load(std::memory_order_acquire);
   const uint64_t cursor = cursor_.load(std::memory_order_relaxed);
   const size_t streams = std::max<uint32_t>(1, options_.preload_streams);
   std::vector<sim::VirtualClock> clocks(streams, sim::VirtualClock(start));
@@ -1019,9 +970,7 @@ Result<sim::NodeId> TaskCache::ServingOwner(size_t chunk_index, Nanos now) {
   sim::NodeId from = sim::kInvalidNode;
   {
     std::lock_guard<std::mutex> lock(migration_mutex_);
-    if (chunk_index >= chunk_owner_.size())
-      return Status::FailedPrecondition("chunk index past ownership map");
-    owner = chunk_owner_[chunk_index];
+    DIESEL_ASSIGN_OR_RETURN(owner, OwnerNodeOfChunkLocked(chunk_index));
     auto it = migrations_.find(chunk_index);
     if (it != migrations_.end()) {
       if (now < it->second.ready_at) return it->second.from;
@@ -1234,7 +1183,7 @@ void TaskCache::MigrateForChange(const membership::MembershipChange& change) {
       // Carry any live pin over to the chunk's new home.
       bool transfer = false;
       {
-        std::lock_guard<std::mutex> lock(pin_mutex_);
+        std::lock_guard<std::mutex> lock(migration_mutex_);
         auto it = pin_home_.find(m.ci);
         if (it != pin_home_.end() && it->second == m.from) {
           it->second = m.to;
@@ -1377,8 +1326,7 @@ uint64_t TaskCache::Teardown(Nanos now) {
 }
 
 void TaskCache::InstallEvictionOracle(const EvictionOracle* oracle) {
-  std::lock_guard<std::mutex> lock(oracle_mutex_);
-  oracle_ = oracle;
+  oracle_.store(oracle, std::memory_order_release);
 }
 
 void TaskCache::SetEpochCursor(uint64_t position) {
@@ -1386,17 +1334,18 @@ void TaskCache::SetEpochCursor(uint64_t position) {
 }
 
 void TaskCache::Pin(size_t chunk_index) {
-  auto owner = OwnerNodeOfChunk(chunk_index);
-  if (!owner.ok()) return;
-  // Ownership can move between Pin and Unpin (rescale), so the pin's home
-  // partition is recorded; migration re-points it when the chunk moves.
+  sim::NodeId home = sim::kInvalidNode;
   {
-    std::lock_guard<std::mutex> lock(pin_mutex_);
-    auto it = pin_home_.find(chunk_index);
-    if (it != pin_home_.end()) return;  // already pinned (or stale no-op)
-    pin_home_[chunk_index] = owner.value();
+    // Ownership can move between Pin and Unpin (rescale), so the pin's home
+    // partition is recorded under the lock that moves chunk_owner_;
+    // migration re-points it when the chunk moves.
+    std::lock_guard<std::mutex> lock(migration_mutex_);
+    if (pin_home_.count(chunk_index) > 0) return;  // already pinned
+    auto owner = OwnerNodeOfChunkLocked(chunk_index);
+    if (!owner.ok()) return;
+    home = pin_home_[chunk_index] = owner.value();
   }
-  NodePartition& part = PartitionFor(owner.value());
+  NodePartition& part = PartitionFor(home);
   std::lock_guard<std::mutex> lock(part.mutex);
   if (!part.pinned.insert(chunk_index).second) return;
   PfCounters().pinned_chunks.Add(1.0);
@@ -1407,7 +1356,7 @@ void TaskCache::Pin(size_t chunk_index) {
 void TaskCache::Unpin(size_t chunk_index) {
   sim::NodeId home = sim::kInvalidNode;
   {
-    std::lock_guard<std::mutex> lock(pin_mutex_);
+    std::lock_guard<std::mutex> lock(migration_mutex_);
     auto it = pin_home_.find(chunk_index);
     if (it == pin_home_.end()) return;
     home = it->second;
@@ -1446,44 +1395,17 @@ Result<TaskCache::PrefetchOutcome> TaskCache::PrefetchChunk(
   }
   obs::ScopedSpan span(fabric_.tracer(), "prefetch.fill", stream, owner);
   span.Note("chunk=" + std::to_string(chunk_index));
-  SharedCacheTier* tier = shared_tier_.load(std::memory_order_acquire);
-  if (tier != nullptr) {
-    // Background fills adopt too: a fill satisfied from the shared tier
-    // frees the backend streams (and the prefetch byte budget drains at
-    // peer-transfer speed instead of object-store speed).
-    auto adopted = tier->Adopt(stream, owner, chunk_index);
-    if (adopted.ok()) {
-      span.Note("tenant.adopted");
-      CountAdoption(adopted->buffer.size());
-      out.bytes = adopted->buffer.size();
-      out.ready_at = stream.now();
-      InsertResult r = InsertChunk(owner, chunk_index,
-                                   std::move(adopted->buffer),
-                                   /*prefetched=*/true,
-                                   /*ready_at=*/stream.now(),
-                                   std::move(adopted->verified));
-      out.inserted = r == InsertResult::kInserted;
-      out.already_resident = r == InsertResult::kAlreadyResident;
-      return out;
-    }
-  }
-  uint32_t header_len = 0;
-  DIESEL_ASSIGN_OR_RETURN(
-      Bytes blob, FetchChunkBlob(stream, owner, chunk_index, &header_len));
-  Counters().chunk_loads.Inc();
-  {
-    std::lock_guard<std::mutex> slock(stats_mutex_);
-    ++stats_.chunk_loads;
-  }
-  out.bytes = blob.size();
+  // Background fills adopt too: a fill satisfied from the shared tier frees
+  // the backend streams (and the prefetch byte budget drains at
+  // peer-transfer speed instead of object-store speed).
+  DIESEL_ASSIGN_OR_RETURN(LoadedChunk loaded,
+                          LoadChunk(stream, owner, chunk_index));
+  if (loaded.adopted) span.Note("tenant.adopted");
+  out.bytes = loaded.buffer.size();
   out.ready_at = stream.now();
-  core::ChunkBuffer buffer = core::ChunkBuffer::Wrap(std::move(blob), header_len);
-  if (tier != nullptr) {
-    tier->Publish(owner, chunk_index, buffer, {}, stream.now());
-  }
-  InsertResult r =
-      InsertChunk(owner, chunk_index, std::move(buffer),
-                  /*prefetched=*/true, /*ready_at=*/stream.now());
+  InsertResult r = InsertChunk(owner, chunk_index, std::move(loaded.buffer),
+                               /*prefetched=*/true, /*ready_at=*/stream.now(),
+                               std::move(loaded.verified));
   out.inserted = r == InsertResult::kInserted;
   out.already_resident = r == InsertResult::kAlreadyResident;
   return out;

@@ -59,7 +59,8 @@ class EvictionOracle {
 
 struct TaskCacheOptions {
   CachePolicy policy = CachePolicy::kOnDemand;
-  /// Cap on cached bytes per node; 0 = unbounded. When full, FIFO eviction.
+  /// Cap on cached bytes per node; 0 = unbounded. When full, evict in FIFO
+  /// order, or Belady's MIN while an EvictionOracle is installed.
   uint64_t per_node_capacity_bytes = 0;
   /// Concurrent chunk-fetch streams per node during Preload/Reload (the
   /// oneshot policy pulls with multiple I/O workers).
@@ -169,11 +170,12 @@ class TaskCache : public membership::MembershipListener {
 
   /// Batched read (results in input order). Files are grouped by serving
   /// owner; each remote group of two or more goes out as ONE multi-get
-  /// (Fabric::CallBatch), amortizing the per-RPC overhead across the group.
-  /// Per-file semantics (hit/miss accounting, CRC checks, corruption
-  /// re-fetch, degraded fallback) are preserved: a failed batch falls back
-  /// to the per-file path, so contents and cache stats match an unbatched
-  /// run byte for byte.
+  /// through the same owner-fetch routine a single read uses with k=1,
+  /// amortizing the per-RPC overhead across the group. Per-file semantics
+  /// (hit/miss accounting, CRC checks, corruption re-fetch, degraded
+  /// fallback) are preserved: a sub-request the multi-get did not serve
+  /// falls back to GetFileSlice, so contents and cache stats match an
+  /// unbatched run byte for byte.
   Result<std::vector<core::FileSlice>> GetFiles(
       sim::VirtualClock& clock, net::EndpointId requester,
       std::span<const core::FileMeta> metas);
@@ -319,6 +321,10 @@ class TaskCache : public membership::MembershipListener {
   /// The chunks `node` currently owns (ownership map at call time).
   std::vector<size_t> OwnedChunkList(sim::NodeId node) const;
 
+  /// OwnerNodeOfChunk for a caller that holds migration_mutex_ (needed
+  /// whenever a membership table is attached).
+  Result<sim::NodeId> OwnerNodeOfChunkLocked(size_t chunk_index) const;
+
   /// Nodes that own partitions right now (membership's active set, or the
   /// static registration-time master nodes).
   std::vector<sim::NodeId> CurrentOwnerNodes() const;
@@ -333,8 +339,9 @@ class TaskCache : public membership::MembershipListener {
   /// until the move's arrival time passes, then the move is finalized).
   Result<sim::NodeId> ServingOwner(size_t chunk_index, Nanos now);
 
-  /// Erase the migration source copy once the move landed. Caller holds
-  /// migration_mutex_; takes the source partition lock.
+  /// Erase the migration source copy once the move landed. Callers erase
+  /// the migration record first and call this after releasing
+  /// migration_mutex_; it takes the source partition lock.
   void FinalizeMigration(size_t chunk_index, sim::NodeId from);
 
   /// Stream the resident moved chunks of a planned change to their new
@@ -347,6 +354,19 @@ class TaskCache : public membership::MembershipListener {
   Status EnsureLoaded(sim::VirtualClock& clock, sim::NodeId owner,
                       size_t chunk_index);
 
+  /// A whole chunk obtained for insertion: adopted from the shared tier
+  /// (with its CRC memo), or fetched from the backend, counted as a chunk
+  /// load and published to the tier.
+  struct LoadedChunk {
+    core::ChunkBuffer buffer;
+    std::vector<bool> verified;
+    bool adopted = false;
+  };
+  /// The load step shared by EnsureLoaded and PrefetchChunk (charges
+  /// `clock`); the caller inserts the chunk with its own fill flags.
+  Result<LoadedChunk> LoadChunk(sim::VirtualClock& clock, sim::NodeId owner,
+                                size_t chunk_index);
+
   /// Charge the warm-start counters for one adopted chunk of `bytes`.
   void CountAdoption(uint64_t bytes);
 
@@ -358,18 +378,23 @@ class TaskCache : public membership::MembershipListener {
                                             size_t chunk_index,
                                             const core::FileMeta& meta);
 
-  /// One coalesced multi-get against remote `owner` for `subs` (positions
-  /// into `metas`/`out`). Mirrors GetFileSlice's breaker/retry handling at
-  /// batch granularity; sub-requests it could not serve are left unset in
-  /// `out` for the caller's per-file fallback.
+  /// The one-hop fetch from remote `owner` for `subs`: one Fabric::CallBatch
+  /// multi-get per attempt (a single read is the k=1 case) under the retry
+  /// policy and the owner's circuit breaker. An attempt fails when the
+  /// exchange fails or every sub-request came back Unavailable. Returns Ok
+  /// once an attempt succeeds, with sub-request j's result (possibly a hard
+  /// error) in out[j]; otherwise the last failure once the breaker, the
+  /// attempts or the deadline gave up. Notes and flight-recorder events go
+  /// to the caller's `span`.
   struct BatchSub {
-    size_t pos = 0;          // index into metas/out
+    size_t pos = 0;          // index into metas
     size_t chunk_index = 0;  // resolved chunk of metas[pos]
   };
-  void FetchOwnerBatch(sim::VirtualClock& clock, net::EndpointId requester,
-                       sim::NodeId owner, std::span<const BatchSub> subs,
-                       std::span<const core::FileMeta> metas,
-                       std::vector<Result<core::FileSlice>>& out);
+  Status FetchFromOwner(sim::VirtualClock& clock, net::EndpointId requester,
+                        sim::NodeId owner, std::span<const BatchSub> subs,
+                        std::span<const core::FileMeta> metas,
+                        std::span<Result<core::FileSlice>> out,
+                        obs::ScopedSpan& span);
 
   InsertResult InsertChunk(sim::NodeId owner, size_t chunk_index,
                            core::ChunkBuffer buffer, bool prefetched = false,
@@ -416,14 +441,14 @@ class TaskCache : public membership::MembershipListener {
     sim::NodeId to = sim::kInvalidNode;
     Nanos ready_at = 0;
   };
-  /// Guards migrations_, chunk_owner_ and last_transition_end_. Ordering:
-  /// migration_mutex_ before any partition mutex, never the reverse.
+  /// Guards migrations_, chunk_owner_, last_transition_end_ and pin_home_.
+  /// Ordering: migration_mutex_ before any partition mutex, never the
+  /// reverse.
   mutable std::mutex migration_mutex_;
   std::unordered_map<size_t, MigrationRec> migrations_;
   std::vector<sim::NodeId> chunk_owner_;  // ownership snapshot (attached mode)
   Nanos last_transition_end_ = 0;
   /// Where each live pin landed (ownership may move between Pin and Unpin).
-  mutable std::mutex pin_mutex_;
   std::unordered_map<size_t, sim::NodeId> pin_home_;
   mutable std::mutex stats_mutex_;
   TaskCacheStats stats_;
@@ -431,11 +456,10 @@ class TaskCache : public membership::MembershipListener {
   std::mutex breakers_mutex_;
   std::map<sim::NodeId, CircuitBreaker> breakers_;
   size_t connections_opened_ = 0;
-  /// Belady state: the installed oracle (guarded — installs happen only at
-  /// epoch boundaries, evictions read it under the partition lock) and the
-  /// training cursor distances are measured from.
-  mutable std::mutex oracle_mutex_;
-  const EvictionOracle* oracle_ = nullptr;
+  /// Belady state: the installed oracle (installs happen only at epoch
+  /// boundaries; evictions read it lock-free) and the training cursor
+  /// distances are measured from.
+  std::atomic<const EvictionOracle*> oracle_{nullptr};
   std::atomic<uint64_t> cursor_{0};
 };
 

@@ -104,7 +104,13 @@ Nanos Device::Serve(Nanos now, uint64_t bytes, Nanos extra, ServeStats* out) {
   return done;
 }
 
-Nanos Device::EarliestFit(const Channel& ch, Nanos now, Nanos dur) {
+// This scan is the simulator's host hot spot (up to kMaxIntervals steps per
+// channel per Serve). Its loop is pinned to a 64-byte boundary, out of line:
+// inlined into Serve, the loop's offset moved with unrelated code-size
+// changes elsewhere in the binary, and host throughput swung by ~25% between
+// builds of identical simulator logic (measured on a 4-core Xeon, GCC 12).
+[[gnu::noinline, gnu::optimize("align-loops=64")]] Nanos Device::EarliestFit(
+    const Channel& ch, Nanos now, Nanos dur) {
   Nanos candidate = now;
   for (const Interval& iv : ch.busy) {  // sorted by start
     if (iv.start >= candidate && iv.start - candidate >= dur) break;
