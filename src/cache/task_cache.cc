@@ -1411,8 +1411,6 @@ Result<TaskCache::PrefetchOutcome> TaskCache::PrefetchChunk(
   return out;
 }
 
-Result<Nanos> TaskCache::Reload(Nanos start) { return Preload(start); }
-
 TaskCacheStats TaskCache::stats() const {
   std::lock_guard<std::mutex> lock(stats_mutex_);
   return stats_;

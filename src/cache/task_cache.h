@@ -62,15 +62,15 @@ struct TaskCacheOptions {
   /// Cap on cached bytes per node; 0 = unbounded. When full, evict in FIFO
   /// order, or Belady's MIN while an EvictionOracle is installed.
   uint64_t per_node_capacity_bytes = 0;
-  /// Concurrent chunk-fetch streams per node during Preload/Reload (the
+  /// Concurrent chunk-fetch streams per node during Preload (the
   /// oneshot policy pulls with multiple I/O workers).
   uint32_t preload_streams = 8;
   /// Retry policy for peer and backend RPCs (rides out flaps/drops).
-  RetryPolicy retry;
+  RetryPolicy retry{};
   /// Per-owner-node circuit breaker: after `failure_threshold` consecutive
   /// peer failures the node is declared down (partition dropped) and reads
   /// fail over without paying the detection timeout each time.
-  CircuitBreakerConfig breaker;
+  CircuitBreakerConfig breaker{};
   /// When a peer master is unreachable, fall back to reading the file
   /// directly from the server instead of failing the Get.
   bool degraded_reads = true;
@@ -152,8 +152,9 @@ class TaskCache : public membership::MembershipListener {
   size_t migrations_in_flight() const;
 
   /// Oneshot policy: every master pulls its partition from the server.
-  /// Loader clocks start at `start`; returns the time the slowest node
-  /// finished (virtual makespan).
+  /// Resident chunks are skipped, so after DropNode/DropAll this is the
+  /// chunk-granular recovery. Loader clocks start at `start`; returns the
+  /// time the slowest node finished (virtual makespan).
   Result<Nanos> Preload(Nanos start);
 
   /// Serve a file read for the client `requester` (Fig. 4 read flow).
@@ -184,7 +185,7 @@ class TaskCache : public membership::MembershipListener {
   double HitRatio() const;
 
   /// Simulate the failure of one task node: its partition is lost and, per
-  /// the containment argument, the whole task must restart — Reload() then
+  /// the containment argument, the whole task must restart — Preload() then
   /// measures the chunk-granular recovery time.
   void DropNode(sim::NodeId node);
   void DropAll();
@@ -204,9 +205,6 @@ class TaskCache : public membership::MembershipListener {
   /// DropNode keep their crash semantics (nothing survives a crash).
   /// Returns the bytes the tier retained.
   uint64_t Teardown(Nanos now);
-
-  /// Reload every non-resident chunk (recovery). Returns makespan end time.
-  Result<Nanos> Reload(Nanos start);
 
   // ---- Clairvoyant prefetch hooks (driven by prefetch::PrefetchScheduler) --
 

@@ -35,7 +35,7 @@ struct ServerOptions {
   /// Retry for the object-store reads RecoverMetadata drives (List /
   /// GetRange / Size). Recovery typically runs while the cluster is still
   /// unhealthy, so a transient drop must not abort the whole redrive.
-  RetryPolicy recovery_retry;
+  RetryPolicy recovery_retry{};
 };
 
 struct RecoveryStats {

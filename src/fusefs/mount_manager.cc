@@ -51,9 +51,15 @@ Result<std::pair<FuseMount*, std::string>> MountManager::Resolve(
   }
   if (entry == nullptr)
     return Status::NotFound("no mount covers path: " + path);
-  std::string rel = *best == "/" ? path : path.substr(best->size());
-  if (rel.empty()) rel = "/";
-  return std::make_pair(entry->mount.get(), entry->prefix + rel);
+  // Append the path below the mountpoint; the mountpoint itself maps to "/".
+  const size_t skip = *best == "/" ? 0 : best->size();
+  std::string full = entry->prefix;
+  if (path.size() == skip) {
+    full += '/';
+  } else {
+    full.append(path, skip);
+  }
+  return std::make_pair(entry->mount.get(), std::move(full));
 }
 
 Result<Bytes> MountManager::ReadFile(sim::VirtualClock& clock,

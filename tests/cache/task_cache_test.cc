@@ -163,7 +163,7 @@ TEST_F(TaskCacheTest, ReloadRestoresFullCache) {
   ASSERT_TRUE(cache.Preload(0).ok());
   cache.DropAll();
   EXPECT_DOUBLE_EQ(cache.HitRatio(), 0.0);
-  auto end = cache.Reload(Seconds(10.0));
+  auto end = cache.Preload(Seconds(10.0));
   ASSERT_TRUE(end.ok());
   EXPECT_DOUBLE_EQ(cache.HitRatio(), 1.0);
 }

@@ -8,7 +8,6 @@
 
 #include "cache/registry.h"
 #include "cache/task_cache.h"
-#include "common/thread_pool.h"
 #include "core/deployment.h"
 #include "dlt/dataset_gen.h"
 
@@ -185,13 +184,13 @@ TEST_F(ParallelClientsTest, ConcurrentReadsSurviveDropNodeAndReload) {
     int round = 0;
     while (!stop.load()) {
       cache.DropNode(static_cast<sim::NodeId>(round++ % 4));
-      ASSERT_TRUE(cache.Reload(0).ok());
+      ASSERT_TRUE(cache.Preload(0).ok());
     }
   });
   for (auto& t : threads) t.join();
   chaos.join();
   EXPECT_EQ(failures.load(), 0);
-  ASSERT_TRUE(cache.Reload(0).ok());
+  ASSERT_TRUE(cache.Preload(0).ok());
   EXPECT_DOUBLE_EQ(cache.HitRatio(), 1.0);
 }
 
@@ -245,10 +244,10 @@ TEST_F(ParallelClientsTest, ConcurrentKvOpsSurviveShardFailureAndRecovery) {
 
 TEST_F(ParallelClientsTest, ConcurrentWritersToDistinctDatasets) {
   constexpr int kThreads = 6;
-  ThreadPool pool(kThreads);
   std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    pool.Submit([&, t] {
+    threads.emplace_back([&, t] {
       std::string ds = "writer" + std::to_string(t);
       auto client = deployment_->MakeClient(t % 4, 60, ds);
       for (int i = 0; i < 100; ++i) {
@@ -261,7 +260,7 @@ TEST_F(ParallelClientsTest, ConcurrentWritersToDistinctDatasets) {
       if (!client->Flush().ok()) failures.fetch_add(1);
     });
   }
-  pool.Wait();
+  for (auto& t : threads) t.join();
   ASSERT_EQ(failures.load(), 0);
   // Read each dataset back, cross-checking isolation.
   for (int t = 0; t < kThreads; ++t) {
