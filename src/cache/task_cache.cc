@@ -15,84 +15,23 @@ namespace {
 
 constexpr uint64_t kPeerRequestBytes = 96;
 
-/// Registry mirrors of TaskCacheStats, resolved once. The struct duplicates
-/// the stats_ fields rather than replacing them so existing callers of
-/// stats() keep exact per-instance numbers while the registry aggregates
-/// process-wide.
-struct CacheCounters {
-  obs::Counter& local_hits;
-  obs::Counter& peer_hits;
-  obs::Counter& chunk_loads;
-  obs::Counter& evictions;
-  obs::Counter& failovers;
-  obs::Counter& breaker_opens;
-  obs::Counter& node_recoveries;
-  obs::Counter& corruptions;
-  obs::Gauge& bytes_cached;
+/// Lead time of prefetch hits and stall of late reads.
+struct PrefetchHistos {
+  obs::Histo& lead_time_ns =
+      obs::Metrics().GetHistogram("prefetch.lead_time_ns");
+  obs::Histo& late_stall_ns =
+      obs::Metrics().GetHistogram("prefetch.late_stall_ns");
 };
 
-CacheCounters& Counters() {
-  static CacheCounters c{
-      obs::Metrics().GetCounter("cache.local_hits"),
-      obs::Metrics().GetCounter("cache.peer_hits"),
-      obs::Metrics().GetCounter("cache.chunk_loads"),
-      obs::Metrics().GetCounter("cache.evictions"),
-      obs::Metrics().GetCounter("cache.failovers"),
-      obs::Metrics().GetCounter("cache.breaker_opens"),
-      obs::Metrics().GetCounter("cache.node_recoveries"),
-      obs::Metrics().GetCounter("cache.corruptions_detected"),
-      obs::Metrics().GetGauge("cache.bytes_cached"),
-  };
-  return c;
-}
-
-/// Registry mirrors of the prefetch-facing cache counters. Issue-side
-/// accounting (issued/completed/cancelled) lives in the scheduler; the cache
-/// sees the read side (hit/late) and the eviction side (wasted).
-struct PrefetchCacheCounters {
-  obs::Counter& evicted_bytes;
-  obs::Gauge& pinned_chunks;
-  obs::Counter& hits;
-  obs::Counter& late;
-  obs::Counter& wasted;
-  obs::Histo& lead_time_ns;
-  obs::Histo& late_stall_ns;
-};
-
-PrefetchCacheCounters& PfCounters() {
-  static PrefetchCacheCounters c{
-      obs::Metrics().GetCounter("cache.evicted_bytes"),
-      obs::Metrics().GetGauge("cache.pinned_chunks"),
-      obs::Metrics().GetCounter("prefetch.hit"),
-      obs::Metrics().GetCounter("prefetch.late"),
-      obs::Metrics().GetCounter("prefetch.wasted"),
-      obs::Metrics().GetHistogram("prefetch.lead_time_ns"),
-      obs::Metrics().GetHistogram("prefetch.late_stall_ns"),
-  };
-  return c;
+PrefetchHistos& PfHistos() {
+  static PrefetchHistos h;
+  return h;
 }
 
 /// 1 while the node's breaker is open, 0 once it has recovered.
 obs::Gauge& BreakerGauge(sim::NodeId node) {
   return obs::Metrics().GetGauge("cache.breaker.state",
                                  {{"node", "n" + std::to_string(node)}});
-}
-
-/// Registry mirrors of the elastic-membership counters.
-struct MembershipCacheCounters {
-  obs::Counter& migrated_chunks =
-      obs::Metrics().GetCounter("membership.migrated_chunks");
-  obs::Counter& migrated_bytes =
-      obs::Metrics().GetCounter("membership.migrated_bytes");
-  obs::Counter& reown_chunks =
-      obs::Metrics().GetCounter("membership.reown_chunks");
-  obs::Counter& reown_skipped =
-      obs::Metrics().GetCounter("cache.reown_skipped");
-};
-
-MembershipCacheCounters& MemCounters() {
-  static MembershipCacheCounters c;
-  return c;
 }
 
 /// Zero-copy read-path counters. `views` counts slices handed out without
@@ -110,29 +49,6 @@ struct SliceCounters {
 
 SliceCounters& SlCounters() {
   static SliceCounters c;
-  return c;
-}
-
-/// Registry mirrors of the cross-task shared-tier counters. These are the
-/// process-wide aggregates; the per-tenant labeled series live in
-/// tenant::CacheFabric. discarded_bytes is charged even with no tier
-/// attached, so the teardown waste tenancy recovers stays visible when
-/// tenancy is disabled.
-struct TenantCacheCounters {
-  obs::Counter& adopted_chunks =
-      obs::Metrics().GetCounter("tenant.adopted_chunks");
-  obs::Counter& adopted_bytes =
-      obs::Metrics().GetCounter("tenant.adopted_bytes");
-  obs::Counter& demoted_chunks =
-      obs::Metrics().GetCounter("tenant.demoted_chunks");
-  obs::Counter& demoted_bytes =
-      obs::Metrics().GetCounter("tenant.demoted_bytes");
-  obs::Counter& discarded_bytes =
-      obs::Metrics().GetCounter("tenant.discarded_bytes");
-};
-
-TenantCacheCounters& TnCounters() {
-  static TenantCacheCounters c;
   return c;
 }
 
@@ -316,15 +232,10 @@ void TaskCache::EvictAtLocked(NodePartition& part, size_t victim) {
   bool wasted = it->second.prefetched && !it->second.accessed;
   part.bytes -= size;
   part.chunks.erase(it);
-  Counters().evictions.Inc();
-  Counters().bytes_cached.Add(-static_cast<double>(size));
-  PfCounters().evicted_bytes.Inc(size);
-  if (wasted) PfCounters().wasted.Inc();
-  std::lock_guard<std::mutex> slock(stats_mutex_);
-  ++stats_.evictions;
-  stats_.evicted_bytes += size;
-  stats_.bytes_cached -= size;
-  if (wasted) ++stats_.prefetch_wasted;
+  stats_.Add<&TaskCacheStats::evictions>();
+  stats_.Sub<&TaskCacheStats::bytes_cached>(size);
+  stats_.Add<&TaskCacheStats::evicted_bytes>(size);
+  if (wasted) stats_.Add<&TaskCacheStats::prefetch_wasted>();
 }
 
 TaskCache::InsertResult TaskCache::InsertChunk(sim::NodeId owner,
@@ -365,9 +276,7 @@ TaskCache::InsertResult TaskCache::InsertChunk(sim::NodeId owner,
   part.chunks.emplace(chunk_index, std::move(cc));
   part.fifo.push_back(chunk_index);
   part.bytes += size;
-  Counters().bytes_cached.Add(static_cast<double>(size));
-  std::lock_guard<std::mutex> slock(stats_mutex_);
-  stats_.bytes_cached += size;
+  stats_.Add<&TaskCacheStats::bytes_cached>(size);
   return InsertResult::kInserted;
 }
 
@@ -418,7 +327,8 @@ Result<TaskCache::LoadedChunk> TaskCache::LoadChunk(sim::VirtualClock& clock,
     // backend never saw this request.
     auto adopted = tier->Adopt(clock, owner, chunk_index);
     if (adopted.ok()) {
-      CountAdoption(adopted->buffer.size());
+      stats_.Add<&TaskCacheStats::adopted_chunks>();
+      stats_.Add<&TaskCacheStats::adopted_bytes>(adopted->buffer.size());
       return LoadedChunk{std::move(adopted->buffer),
                          std::move(adopted->verified), /*adopted=*/true};
     }
@@ -426,11 +336,7 @@ Result<TaskCache::LoadedChunk> TaskCache::LoadChunk(sim::VirtualClock& clock,
   uint32_t header_len = 0;
   DIESEL_ASSIGN_OR_RETURN(Bytes blob,
                           FetchChunkBlob(clock, owner, chunk_index, &header_len));
-  Counters().chunk_loads.Inc();
-  {
-    std::lock_guard<std::mutex> slock(stats_mutex_);
-    ++stats_.chunk_loads;
-  }
+  stats_.Add<&TaskCacheStats::chunk_loads>();
   LoadedChunk loaded{core::ChunkBuffer::Wrap(std::move(blob), header_len),
                      /*verified=*/{}, /*adopted=*/false};
   if (tier != nullptr) {
@@ -452,14 +358,6 @@ Status TaskCache::EnsureLoaded(sim::VirtualClock& clock, sim::NodeId owner,
   InsertChunk(owner, chunk_index, std::move(loaded.buffer),
               /*prefetched=*/false, /*ready_at=*/0, std::move(loaded.verified));
   return Status::Ok();
-}
-
-void TaskCache::CountAdoption(uint64_t bytes) {
-  TnCounters().adopted_chunks.Inc();
-  TnCounters().adopted_bytes.Inc(bytes);
-  std::lock_guard<std::mutex> slock(stats_mutex_);
-  ++stats_.adopted_chunks;
-  stats_.adopted_bytes += bytes;
 }
 
 Result<core::FileSlice> TaskCache::ReadFromPartition(sim::VirtualClock& clock,
@@ -485,17 +383,13 @@ Result<core::FileSlice> TaskCache::ReadFromPartition(sim::VirtualClock& clock,
               "phase.owner_wait ns=" + std::to_string(stall));
         }
         if (cc.prefetched && !cc.accessed) {
-          PfCounters().late.Inc();
-          PfCounters().late_stall_ns.Observe(static_cast<double>(stall));
-          std::lock_guard<std::mutex> slock(stats_mutex_);
-          ++stats_.prefetch_late;
+          stats_.Add<&TaskCacheStats::prefetch_late>();
+          PfHistos().late_stall_ns.Observe(static_cast<double>(stall));
         }
       } else if (cc.prefetched && !cc.accessed) {
-        PfCounters().hits.Inc();
-        PfCounters().lead_time_ns.Observe(
+        stats_.Add<&TaskCacheStats::prefetch_hits>();
+        PfHistos().lead_time_ns.Observe(
             static_cast<double>(clock.now() - cc.ready_at));
-        std::lock_guard<std::mutex> slock(stats_mutex_);
-        ++stats_.prefetch_hits;
       }
       cc.accessed = true;
       Result<core::FileSlice> sliced = SliceFile(cc, meta);
@@ -505,14 +399,13 @@ Result<core::FileSlice> TaskCache::ReadFromPartition(sim::VirtualClock& clock,
       // the same bytes if this chunk was ever published/adopted — can be
       // invalidated too.
       corrupt_evicted = it->second.buffer;
-      part.bytes -= it->second.buffer.size();
+      part.bytes -= corrupt_evicted.size();
       part.fifo.erase(std::remove(part.fifo.begin(), part.fifo.end(),
                                   chunk_index),
                       part.fifo.end());
       part.chunks.erase(it);
-      Counters().corruptions.Inc();
-      std::lock_guard<std::mutex> slock(stats_mutex_);
-      ++stats_.corruptions_detected;
+      stats_.Sub<&TaskCacheStats::bytes_cached>(corrupt_evicted.size());
+      stats_.Add<&TaskCacheStats::corruptions_detected>();
     }
   }
   SharedCacheTier* tier = shared_tier_.load(std::memory_order_acquire);
@@ -535,7 +428,8 @@ Result<core::FileSlice> TaskCache::ReadFromPartition(sim::VirtualClock& clock,
       Result<core::FileSlice> content = SliceFile(local, meta);
       if (!content.status().IsCorruption()) {
         DIESEL_RETURN_IF_ERROR(content.status());
-        CountAdoption(local.buffer.size());
+        stats_.Add<&TaskCacheStats::adopted_chunks>();
+        stats_.Add<&TaskCacheStats::adopted_bytes>(local.buffer.size());
         InsertChunk(owner, chunk_index, std::move(local.buffer),
                     /*prefetched=*/false, /*ready_at=*/0,
                     std::move(local.verified));
@@ -545,9 +439,7 @@ Result<core::FileSlice> TaskCache::ReadFromPartition(sim::VirtualClock& clock,
       // adopters stop paying the transfer + scan + refetch for the same
       // bad blob, then fall through to a fresh backend fetch.
       tier->Invalidate(chunk_index, local.buffer);
-      Counters().corruptions.Inc();
-      std::lock_guard<std::mutex> slock(stats_mutex_);
-      ++stats_.corruptions_detected;
+      stats_.Add<&TaskCacheStats::corruptions_detected>();
     }
   }
   // Miss: fetch the chunk, slice from the local copy (immune to concurrent
@@ -563,17 +455,11 @@ Result<core::FileSlice> TaskCache::ReadFromPartition(sim::VirtualClock& clock,
     local.buffer = core::ChunkBuffer::Wrap(std::move(blob), header_len);
     Result<core::FileSlice> content = SliceFile(local, meta);
     if (content.status().IsCorruption() && fetch == 0) {
-      Counters().corruptions.Inc();
-      std::lock_guard<std::mutex> slock(stats_mutex_);
-      ++stats_.corruptions_detected;
+      stats_.Add<&TaskCacheStats::corruptions_detected>();
       continue;
     }
     DIESEL_RETURN_IF_ERROR(content.status());
-    Counters().chunk_loads.Inc();
-    {
-      std::lock_guard<std::mutex> slock(stats_mutex_);
-      ++stats_.chunk_loads;
-    }
+    stats_.Add<&TaskCacheStats::chunk_loads>();
     // Install the shared buffer along with the CRC memo of the file just
     // verified — the resident copy is the same immutable bytes.
     if (tier != nullptr) {
@@ -672,14 +558,10 @@ Result<core::FileSlice> TaskCache::GetFileSliceImpl(sim::VirtualClock& clock,
     clock.AdvanceTo(t);
     RpMetrics().slice_ns.Observe(static_cast<double>(clock.now() - slice0));
     RpMetrics().local_ns.Observe(static_cast<double>(clock.now() - local0));
-    Counters().local_hits.Inc();
+    stats_.Add<&TaskCacheStats::local_hits>();
     span.Note("cache.local_hit");
     if (span.active()) {
       span.Note("phase.slice ns=" + std::to_string(clock.now() - slice0));
-    }
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.local_hits;
     }
     return content;
   }
@@ -693,12 +575,8 @@ Result<core::FileSlice> TaskCache::GetFileSliceImpl(sim::VirtualClock& clock,
                                   {&meta, 1}, got, span);
   if (fetched.ok()) return std::move(got[0]);
   if (!options_.degraded_reads) return fetched;
-  Counters().failovers.Inc();
+  stats_.Add<&TaskCacheStats::failovers>();
   span.Note("cache.degraded_read");
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.failovers;
-  }
   const Nanos degraded0 = clock.now();
   DIESEL_ASSIGN_OR_RETURN(Bytes content, DegradedRead(clock, requester, meta));
   RpMetrics().degraded_ns.Observe(static_cast<double>(clock.now() - degraded0));
@@ -835,11 +713,9 @@ Status TaskCache::FetchFromOwner(sim::VirtualClock& clock,
       const uint64_t hits = static_cast<uint64_t>(std::count_if(
           out.begin(), out.end(), [](const auto& r) { return r.ok(); }));
       if (hits > 0) {
-        Counters().peer_hits.Inc(hits);
+        stats_.Add<&TaskCacheStats::peer_hits>(hits);
         span.Note(subs.size() == 1 ? "cache.peer_hit"
                                    : "cache.peer_hits=" + std::to_string(hits));
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        stats_.peer_hits += hits;
       }
       return Status::Ok();
     }
@@ -853,14 +729,12 @@ Status TaskCache::FetchFromOwner(sim::VirtualClock& clock,
           CircuitBreaker::Transition::kOpened) {
         // Owner presumed crashed: what it cached in RAM is gone.
         DropNode(owner);
-        Counters().breaker_opens.Inc();
+        stats_.Add<&TaskCacheStats::breaker_opens>();
         BreakerGauge(owner).Set(1.0);
         span.Note("breaker.open node=" + std::to_string(owner));
         obs::Flight().Record(obs::FlightEventKind::kBreaker, clock.now(),
                              "breaker open: n" + std::to_string(owner),
                              span.id());
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.breaker_opens;
       }
     }
     if (attempt >= max_attempts) return failed;
@@ -895,12 +769,8 @@ Result<Bytes> TaskCache::DegradedRead(sim::VirtualClock& clock,
 }
 
 void TaskCache::OnOwnerRecovered(sim::NodeId owner, Nanos now) {
-  Counters().node_recoveries.Inc();
+  stats_.Add<&TaskCacheStats::node_recoveries>();
   BreakerGauge(owner).Set(0.0);
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.node_recoveries;
-  }
   if (options_.policy == CachePolicy::kOneshot) {
     // Chunk-granular re-own: repopulate the recovered node's partition on a
     // detached clock — the reload overlaps the requesters' continued reads,
@@ -946,18 +816,13 @@ Result<Nanos> TaskCache::ReownChunks(sim::NodeId node,
     ++loaded;
   }
   if (loaded > 0) {
-    MemCounters().reown_chunks.Inc(loaded);
+    stats_.Add<&TaskCacheStats::reown_chunks>(loaded);
     obs::Metrics()
         .GetCounter("cache.reown_chunks",
                     {{"node", "n" + std::to_string(node)}})
         .Inc(loaded);
   }
-  if (skipped > 0) MemCounters().reown_skipped.Inc(skipped);
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.reown_chunks += loaded;
-    stats_.reown_skipped += skipped;
-  }
+  if (skipped > 0) stats_.Add<&TaskCacheStats::reown_skipped>(skipped);
   Nanos finish = start;
   for (const auto& c : clocks) finish = std::max(finish, c.now());
   return finish;
@@ -1004,13 +869,9 @@ void TaskCache::FinalizeMigration(size_t chunk_index, sim::NodeId from) {
   }
   // Dropping the source copy is not an eviction (the chunk is still
   // resident, on its new owner) — only the byte accounting moves.
-  Counters().bytes_cached.Add(-static_cast<double>(freed));
-  if (wasted) PfCounters().wasted.Inc();
-  if (unpinned) PfCounters().pinned_chunks.Add(-1.0);
-  std::lock_guard<std::mutex> slock(stats_mutex_);
-  stats_.bytes_cached -= freed;
-  if (wasted) ++stats_.prefetch_wasted;
-  if (unpinned) --stats_.pinned_chunks;
+  stats_.Sub<&TaskCacheStats::bytes_cached>(freed);
+  if (wasted) stats_.Add<&TaskCacheStats::prefetch_wasted>();
+  if (unpinned) stats_.Sub<&TaskCacheStats::pinned_chunks>();
 }
 
 void TaskCache::OnMembershipChange(const membership::MembershipChange& change) {
@@ -1167,13 +1028,8 @@ void TaskCache::MigrateForChange(const membership::MembershipChange& change) {
           std::lock_guard<std::mutex> lock(migration_mutex_);
           migrations_[m.ci] = MigrationRec{m.from, m.to, ready};
         }
-        MemCounters().migrated_chunks.Inc();
-        MemCounters().migrated_bytes.Inc(size);
-        {
-          std::lock_guard<std::mutex> slock(stats_mutex_);
-          ++stats_.migrated_chunks;
-          stats_.migrated_bytes += size;
-        }
+        stats_.Add<&TaskCacheStats::migrated_chunks>();
+        stats_.Add<&TaskCacheStats::migrated_bytes>(size);
         end = std::max(end, ready);
       } else {
         // Already resident at the destination: the copy on the old owner is
@@ -1231,22 +1087,12 @@ void TaskCache::DropPartitionLocked(NodePartition& part) {
   for (const auto& [ci, cc] : part.chunks) {
     if (cc.prefetched && !cc.accessed) ++wasted;
   }
-  if (wasted > 0) {
-    PfCounters().wasted.Inc(wasted);
-    std::lock_guard<std::mutex> slock(stats_mutex_);
-    stats_.prefetch_wasted += wasted;
-  }
+  if (wasted > 0) stats_.Add<&TaskCacheStats::prefetch_wasted>(wasted);
   if (!part.pinned.empty()) {
-    PfCounters().pinned_chunks.Add(-static_cast<double>(part.pinned.size()));
-    std::lock_guard<std::mutex> slock(stats_mutex_);
-    stats_.pinned_chunks -= part.pinned.size();
+    stats_.Sub<&TaskCacheStats::pinned_chunks>(part.pinned.size());
     part.pinned.clear();
   }
-  if (part.bytes > 0) {
-    Counters().bytes_cached.Add(-static_cast<double>(part.bytes));
-    std::lock_guard<std::mutex> slock(stats_mutex_);
-    stats_.bytes_cached -= part.bytes;
-  }
+  if (part.bytes > 0) stats_.Sub<&TaskCacheStats::bytes_cached>(part.bytes);
   part.chunks.clear();
   part.fifo.clear();
   part.bytes = 0;
@@ -1312,15 +1158,11 @@ uint64_t TaskCache::Teardown(Nanos now) {
     DropPartitionLocked(part);
   }
   if (demoted_chunks > 0) {
-    TnCounters().demoted_chunks.Inc(demoted_chunks);
-    TnCounters().demoted_bytes.Inc(demoted_bytes);
+    stats_.Add<&TaskCacheStats::demoted_chunks>(demoted_chunks);
+    stats_.Add<&TaskCacheStats::demoted_bytes>(demoted_bytes);
   }
-  if (discarded_bytes > 0) TnCounters().discarded_bytes.Inc(discarded_bytes);
-  {
-    std::lock_guard<std::mutex> slock(stats_mutex_);
-    stats_.demoted_chunks += demoted_chunks;
-    stats_.demoted_bytes += demoted_bytes;
-    stats_.discarded_bytes += discarded_bytes;
+  if (discarded_bytes > 0) {
+    stats_.Add<&TaskCacheStats::discarded_bytes>(discarded_bytes);
   }
   return demoted_bytes;
 }
@@ -1348,9 +1190,7 @@ void TaskCache::Pin(size_t chunk_index) {
   NodePartition& part = PartitionFor(home);
   std::lock_guard<std::mutex> lock(part.mutex);
   if (!part.pinned.insert(chunk_index).second) return;
-  PfCounters().pinned_chunks.Add(1.0);
-  std::lock_guard<std::mutex> slock(stats_mutex_);
-  ++stats_.pinned_chunks;
+  stats_.Add<&TaskCacheStats::pinned_chunks>();
 }
 
 void TaskCache::Unpin(size_t chunk_index) {
@@ -1367,9 +1207,7 @@ void TaskCache::Unpin(size_t chunk_index) {
   // A dropped partition already released its pins; erase==0 means exactly
   // that, and the gauge must not be decremented twice.
   if (part.pinned.erase(chunk_index) == 0) return;
-  PfCounters().pinned_chunks.Add(-1.0);
-  std::lock_guard<std::mutex> slock(stats_mutex_);
-  --stats_.pinned_chunks;
+  stats_.Sub<&TaskCacheStats::pinned_chunks>();
 }
 
 bool TaskCache::ChunkResident(size_t chunk_index) const {
@@ -1412,8 +1250,9 @@ Result<TaskCache::PrefetchOutcome> TaskCache::PrefetchChunk(
 }
 
 TaskCacheStats TaskCache::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
+  TaskCacheStats out;
+  stats_.ReadInto(out);
+  return out;
 }
 
 namespace {

@@ -14,6 +14,7 @@
 //               is slower and later epochs are fully cached.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -33,6 +34,7 @@
 #include "core/snapshot.h"
 #include "membership/membership.h"
 #include "net/fabric.h"
+#include "obs/stat_book.h"
 
 namespace diesel::cache {
 
@@ -101,6 +103,38 @@ struct TaskCacheStats {
   uint64_t demoted_bytes = 0;        // bytes demoted into the shared tier
   uint64_t discarded_bytes = 0;      // teardown bytes no tier retained (waste)
 };
+
+/// Name table: the unlabeled registry series counting the same event as
+/// each TaskCacheStats field. Row groups (registered together): 0 read
+/// path, 1 prefetch, 2 membership, 3 cross-task tier.
+inline constexpr std::array<obs::StatRow<TaskCacheStats>, 23>
+    kTaskCacheSeries{{
+        {&TaskCacheStats::local_hits, "cache.local_hits"},
+        {&TaskCacheStats::peer_hits, "cache.peer_hits"},
+        {&TaskCacheStats::chunk_loads, "cache.chunk_loads"},
+        {&TaskCacheStats::evictions, "cache.evictions"},
+        {&TaskCacheStats::bytes_cached, "cache.bytes_cached", 0,
+         obs::SeriesKind::kGauge},
+        {&TaskCacheStats::failovers, "cache.failovers"},
+        {&TaskCacheStats::breaker_opens, "cache.breaker_opens"},
+        {&TaskCacheStats::node_recoveries, "cache.node_recoveries"},
+        {&TaskCacheStats::corruptions_detected, "cache.corruptions_detected"},
+        {&TaskCacheStats::evicted_bytes, "cache.evicted_bytes", 1},
+        {&TaskCacheStats::pinned_chunks, "cache.pinned_chunks", 1,
+         obs::SeriesKind::kGauge},
+        {&TaskCacheStats::prefetch_hits, "prefetch.hit", 1},
+        {&TaskCacheStats::prefetch_late, "prefetch.late", 1},
+        {&TaskCacheStats::prefetch_wasted, "prefetch.wasted", 1},
+        {&TaskCacheStats::migrated_chunks, "membership.migrated_chunks", 2},
+        {&TaskCacheStats::migrated_bytes, "membership.migrated_bytes", 2},
+        {&TaskCacheStats::reown_chunks, "membership.reown_chunks", 2},
+        {&TaskCacheStats::reown_skipped, "cache.reown_skipped", 2},
+        {&TaskCacheStats::adopted_chunks, "tenant.adopted_chunks", 3},
+        {&TaskCacheStats::adopted_bytes, "tenant.adopted_bytes", 3},
+        {&TaskCacheStats::demoted_chunks, "tenant.demoted_chunks", 3},
+        {&TaskCacheStats::demoted_bytes, "tenant.demoted_bytes", 3},
+        {&TaskCacheStats::discarded_bytes, "tenant.discarded_bytes", 3},
+    }};
 
 class TaskCache : public membership::MembershipListener {
  public:
@@ -365,9 +399,6 @@ class TaskCache : public membership::MembershipListener {
   Result<LoadedChunk> LoadChunk(sim::VirtualClock& clock, sim::NodeId owner,
                                 size_t chunk_index);
 
-  /// Charge the warm-start counters for one adopted chunk of `bytes`.
-  void CountAdoption(uint64_t bytes);
-
   /// Slice one file out of the owner's partition (loads on miss). The slice
   /// is taken under the partition lock and holds its own reference on the
   /// blob, so concurrent eviction is safe.
@@ -448,8 +479,7 @@ class TaskCache : public membership::MembershipListener {
   Nanos last_transition_end_ = 0;
   /// Where each live pin landed (ownership may move between Pin and Unpin).
   std::unordered_map<size_t, sim::NodeId> pin_home_;
-  mutable std::mutex stats_mutex_;
-  TaskCacheStats stats_;
+  obs::StatBook<kTaskCacheSeries> stats_;
   /// One breaker per owner node (std::map: stable references under insert).
   std::mutex breakers_mutex_;
   std::map<sim::NodeId, CircuitBreaker> breakers_;

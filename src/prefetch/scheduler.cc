@@ -7,23 +7,10 @@
 namespace diesel::prefetch {
 namespace {
 
-struct SchedCounters {
-  obs::Counter& issued = obs::Metrics().GetCounter("prefetch.issued");
-  obs::Counter& completed = obs::Metrics().GetCounter("prefetch.completed");
-  obs::Counter& cancelled = obs::Metrics().GetCounter("prefetch.cancelled");
-  obs::Counter& skipped_resident =
-      obs::Metrics().GetCounter("prefetch.skipped_resident");
-  obs::Counter& skipped_down =
-      obs::Metrics().GetCounter("prefetch.skipped_down");
-  obs::Counter& rescales = obs::Metrics().GetCounter("prefetch.rescales");
-  obs::Counter& retargeted = obs::Metrics().GetCounter("prefetch.retargeted");
-  obs::Histo& queue_depth =
-      obs::Metrics().GetHistogram("prefetch.queue_depth");
-};
-
-SchedCounters& Counters() {
-  static SchedCounters c;
-  return c;
+/// Fill streams still busy past the foreground clock, once per Advance.
+obs::Histo& QueueDepth() {
+  static obs::Histo& h = obs::Metrics().GetHistogram("prefetch.queue_depth");
+  return h;
 }
 
 }  // namespace
@@ -126,8 +113,7 @@ void PrefetchScheduler::OnMembershipChange(
 }
 
 void PrefetchScheduler::RescaleLocked(Nanos now) {
-  Counters().rescales.Inc();
-  ++stats_.rescales;
+  stats_.Add<&PrefetchSchedulerStats::rescales>();
 
   // Everything not yet issued goes back in the pot; everything issued is
   // already accounted (completed or cancelled at issue time), so the
@@ -192,10 +178,7 @@ void PrefetchScheduler::RescaleLocked(Nanos now) {
         }
       }
     }
-    if (moved) {
-      Counters().retargeted.Inc();
-      ++stats_.retargeted;
-    }
+    if (moved) stats_.Add<&PrefetchSchedulerStats::retargeted>();
   }
   for (const PinRec& p : pins) {
     auto owner = cache_.OwnerNodeOfChunk(p.chunk);
@@ -233,7 +216,7 @@ void PrefetchScheduler::AdvanceLocked(size_t position, Nanos now) {
       if (st.now() > now) ++depth;
     }
   }
-  Counters().queue_depth.Observe(static_cast<double>(depth));
+  QueueDepth().Observe(static_cast<double>(depth));
 }
 
 void PrefetchScheduler::IssueFillsLocked(size_t position, Nanos now) {
@@ -259,8 +242,7 @@ void PrefetchScheduler::IssueFillsLocked(size_t position, Nanos now) {
         // Nothing to fetch; pin so capacity pressure from later fills can't
         // evict it before its access arrives. The pin still occupies cache
         // capacity, so it charges the budget like a fill.
-        Counters().skipped_resident.Inc();
-        ++stats_.skipped_resident;
+        stats_.Add<&PrefetchSchedulerStats::skipped_resident>();
         cache_.Pin(ci);
         ns.pins.push_back(PinRec{ci, fa, est});
         ns.outstanding_bytes += est;
@@ -278,27 +260,23 @@ void PrefetchScheduler::IssueFillsLocked(size_t position, Nanos now) {
       if (!fabric_.NodeAvailable(ns.node, stream->now())) {
         // Owner is flapped: don't burn the retry budget in the background;
         // the foreground's on-demand path (with failover) covers this chunk.
-        Counters().skipped_down.Inc();
-        ++stats_.skipped_down;
+        stats_.Add<&PrefetchSchedulerStats::skipped_down>();
         ++ns.next;
         continue;
       }
 
       cache_.Pin(ci);
-      Counters().issued.Inc();
-      ++stats_.issued;
+      stats_.Add<&PrefetchSchedulerStats::issued>();
       auto out = cache_.PrefetchChunk(*stream, ci);
       if (!out.ok() || (!out->inserted && !out->already_resident)) {
         // Fetch failed or capacity denied the insert: the fill is aborted
         // and the pin released, so the foreground path stays unobstructed.
-        Counters().cancelled.Inc();
-        ++stats_.cancelled;
+        stats_.Add<&PrefetchSchedulerStats::cancelled>();
         cache_.Unpin(ci);
         ++ns.next;
         continue;
       }
-      Counters().completed.Inc();
-      ++stats_.completed;
+      stats_.Add<&PrefetchSchedulerStats::completed>();
       ns.pins.push_back(PinRec{ci, fa, out->bytes});
       ns.outstanding_bytes += out->bytes;
       ++ns.next;
@@ -329,8 +307,12 @@ const AccessSchedule* PrefetchScheduler::schedule() const {
 }
 
 PrefetchSchedulerStats PrefetchScheduler::stats() const {
+  // Every count moves under mutex_, so reading under it keeps
+  // issued == completed + cancelled in each snapshot.
   std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  PrefetchSchedulerStats out;
+  stats_.ReadInto(out);
+  return out;
 }
 
 }  // namespace diesel::prefetch

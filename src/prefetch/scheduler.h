@@ -19,6 +19,7 @@
 // prefetch to on-demand instead of wedging the cache.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <deque>
 #include <memory>
@@ -29,6 +30,7 @@
 #include "core/snapshot.h"
 #include "membership/membership.h"
 #include "net/fabric.h"
+#include "obs/stat_book.h"
 #include "prefetch/access_schedule.h"
 #include "shuffle/shuffle.h"
 
@@ -73,6 +75,20 @@ struct PrefetchSchedulerStats {
   uint64_t rescales = 0;          // membership epochs the schedule survived
   uint64_t retargeted = 0;        // pending fills re-bucketed to a new owner
 };
+
+/// Name table: the unlabeled registry series counting the same event as
+/// each PrefetchSchedulerStats field.
+inline constexpr std::array<obs::StatRow<PrefetchSchedulerStats>, 7>
+    kPrefetchSchedulerSeries{{
+        {&PrefetchSchedulerStats::issued, "prefetch.issued"},
+        {&PrefetchSchedulerStats::completed, "prefetch.completed"},
+        {&PrefetchSchedulerStats::cancelled, "prefetch.cancelled"},
+        {&PrefetchSchedulerStats::skipped_resident,
+         "prefetch.skipped_resident"},
+        {&PrefetchSchedulerStats::skipped_down, "prefetch.skipped_down"},
+        {&PrefetchSchedulerStats::rescales, "prefetch.rescales"},
+        {&PrefetchSchedulerStats::retargeted, "prefetch.retargeted"},
+    }};
 
 class PrefetchScheduler : public membership::MembershipListener {
  public:
@@ -158,7 +174,7 @@ class PrefetchScheduler : public membership::MembershipListener {
   bool active_ = false;
   std::unique_ptr<AccessSchedule> schedule_;
   std::vector<NodeState> nodes_;
-  PrefetchSchedulerStats stats_;
+  obs::StatBook<kPrefetchSchedulerSeries> stats_;
   size_t last_position_ = 0;  // latest Advance cursor (rescales resume here)
 };
 

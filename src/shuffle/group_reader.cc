@@ -8,25 +8,9 @@
 namespace diesel::shuffle {
 namespace {
 
-/// Registry mirrors of GroupReaderStats, resolved once.
-struct ShuffleCounters {
-  obs::Counter& epochs;
-  obs::Counter& groups_entered;
-  obs::Counter& chunk_fetches;
-  obs::Counter& chunk_bytes;
-  obs::Counter& files_read;
-  obs::Counter& bytes_read;
-};
-
-ShuffleCounters& Counters() {
-  static ShuffleCounters c{
-      obs::Metrics().GetCounter("shuffle.epochs"),
-      obs::Metrics().GetCounter("shuffle.groups_entered"),
-      obs::Metrics().GetCounter("shuffle.chunk_fetches"),
-      obs::Metrics().GetCounter("shuffle.chunk_bytes"),
-      obs::Metrics().GetCounter("shuffle.files_read"),
-      obs::Metrics().GetCounter("shuffle.bytes_read"),
-  };
+/// Epochs started, process-wide (no per-reader field repeats it).
+obs::Counter& Epochs() {
+  static obs::Counter& c = obs::Metrics().GetCounter("shuffle.epochs");
   return c;
 }
 
@@ -39,7 +23,7 @@ GroupWindowReader::GroupWindowReader(core::DieselServer& server,
       fetch_streams_(std::max<size_t>(1, fetch_streams)) {}
 
 void GroupWindowReader::StartEpoch(ShufflePlan plan) {
-  Counters().epochs.Inc();
+  Epochs().Inc();
   plan_ = std::move(plan);
   pos_ = 0;
   current_group_ = static_cast<size_t>(-1);
@@ -72,10 +56,8 @@ Result<Nanos> GroupWindowReader::FetchGroup(Nanos start, size_t group,
   for (size_t i = 0; i < chunk_list.size(); ++i) {
     Bytes& blob = blobs[i];
     DIESEL_ASSIGN_OR_RETURN(core::ChunkView view, core::ChunkView::Parse(blob));
-    Counters().chunk_fetches.Inc();
-    Counters().chunk_bytes.Inc(blob.size());
-    stats_.chunk_bytes_fetched += blob.size();
-    ++stats_.chunk_fetches;
+    stats_.Add<&GroupReaderStats::chunk_fetches>();
+    stats_.Add<&GroupReaderStats::chunk_bytes_fetched>(blob.size());
     out.emplace(chunk_list[i],
                 WindowChunk{core::ChunkBuffer::Wrap(std::move(blob),
                                                     view.header_len())});
@@ -114,12 +96,11 @@ Status GroupWindowReader::LoadGroup(sim::VirtualClock& clock, size_t group) {
     for (const auto& [ci, wc] : prefetched_) {
       prefetched_bytes += wc.buffer.size();
     }
-    stats_.peak_window_bytes = std::max(
-        stats_.peak_window_bytes, window_bytes_ + prefetched_bytes);
+    peak_window_bytes_ =
+        std::max(peak_window_bytes_, window_bytes_ + prefetched_bytes);
   }
-  stats_.peak_window_bytes = std::max(stats_.peak_window_bytes, window_bytes_);
-  Counters().groups_entered.Inc();
-  ++stats_.groups_entered;
+  peak_window_bytes_ = std::max(peak_window_bytes_, window_bytes_);
+  stats_.Add<&GroupReaderStats::groups_entered>();
   current_group_ = group;
   return Status::Ok();
 }
@@ -151,11 +132,16 @@ Result<core::FileSlice> GroupWindowReader::NextSlice(sim::VirtualClock& clock) {
   if (begin + meta.length > wc.buffer.size())
     return Status::Corruption("file range past chunk end: " + meta.full_name);
   ++pos_;
-  Counters().files_read.Inc();
-  Counters().bytes_read.Inc(meta.length);
-  ++stats_.files_read;
-  stats_.bytes_read += meta.length;
+  stats_.Add<&GroupReaderStats::files_read>();
+  stats_.Add<&GroupReaderStats::bytes_read>(meta.length);
   return core::FileSlice::FromBuffer(wc.buffer, begin, meta.length);
+}
+
+GroupReaderStats GroupWindowReader::stats() const {
+  GroupReaderStats out;
+  stats_.ReadInto(out);
+  out.peak_window_bytes = peak_window_bytes_;
+  return out;
 }
 
 }  // namespace diesel::shuffle

@@ -10,6 +10,7 @@
 // speed).
 #pragma once
 
+#include <array>
 #include <unordered_map>
 
 #include "common/bytes.h"
@@ -17,6 +18,7 @@
 #include "core/chunk_format.h"
 #include "core/server.h"
 #include "core/snapshot.h"
+#include "obs/stat_book.h"
 #include "shuffle/shuffle.h"
 
 namespace diesel::shuffle {
@@ -29,6 +31,18 @@ struct GroupReaderStats {
   uint64_t peak_window_bytes = 0;
   size_t groups_entered = 0;
 };
+
+/// Name table: the unlabeled registry series counting the same event as
+/// each GroupReaderStats field. peak_window_bytes is a per-reader max with
+/// no series.
+inline constexpr std::array<obs::StatRow<GroupReaderStats>, 5>
+    kGroupReaderSeries{{
+        {&GroupReaderStats::files_read, "shuffle.files_read"},
+        {&GroupReaderStats::bytes_read, "shuffle.bytes_read"},
+        {&GroupReaderStats::chunk_fetches, "shuffle.chunk_fetches"},
+        {&GroupReaderStats::chunk_bytes_fetched, "shuffle.chunk_bytes"},
+        {&GroupReaderStats::groups_entered, "shuffle.groups_entered"},
+    }};
 
 class GroupWindowReader {
  public:
@@ -65,7 +79,7 @@ class GroupWindowReader {
   /// Index (into snapshot.files()) of the file Next() will return.
   Result<uint32_t> PeekIndex() const;
 
-  const GroupReaderStats& stats() const { return stats_; }
+  GroupReaderStats stats() const;
 
  private:
   struct WindowChunk {
@@ -95,7 +109,8 @@ class GroupWindowReader {
   Window prefetched_;
   size_t prefetch_group_ = static_cast<size_t>(-1);
   Nanos prefetch_done_ = 0;
-  GroupReaderStats stats_;
+  obs::StatBook<kGroupReaderSeries> stats_;
+  uint64_t peak_window_bytes_ = 0;
 };
 
 }  // namespace diesel::shuffle

@@ -4,6 +4,8 @@
 
 #include "core/deployment.h"
 #include "dlt/dataset_gen.h"
+#include "net/fault_injector.h"
+#include "obs/metrics.h"
 
 namespace diesel::cache {
 namespace {
@@ -462,6 +464,50 @@ TEST_F(TaskCacheTest, PrefetchHitAndLateAccounting) {
   EXPECT_EQ(stats.prefetch_wasted, 0u);
   // Both reads were served from cache, no extra backend loads.
   EXPECT_EQ(stats.chunk_loads, 2u);
+}
+
+TEST_F(TaskCacheTest, CorruptCopyEvictionReleasesItsBytes) {
+  // Preload every chunk, then read every file once; returns the resident
+  // bytes after the reads. With `corrupt`, chunk 0's preload fetch carries
+  // a flipped byte: the read that hits it evicts the cached copy and
+  // re-fetches, which must leave exactly the clean run's bytes resident.
+  auto run = [&](TaskCache& cache) {
+    EXPECT_TRUE(cache.Preload(0).ok());
+    sim::VirtualClock clock;
+    for (size_t i = 0; i < spec_.total_files(); ++i) {
+      const core::FileMeta* meta = snapshot_->Lookup(dlt::FilePath(spec_, i));
+      auto& client = clients_[i % clients_.size()];
+      auto content = cache.GetFile(clock, client->endpoint(), *meta);
+      EXPECT_TRUE(content.ok()) << content.status().ToString();
+      if (content.ok()) {
+        EXPECT_TRUE(dlt::VerifyContent(spec_, i, *content)) << i;
+      }
+    }
+    return cache.stats().bytes_cached;
+  };
+  TaskCache clean = MakeCache(Oneshot());
+  const uint64_t clean_bytes = run(clean);
+  ASSERT_GT(clean_bytes, 0u);
+
+  net::FaultPlan plan;
+  plan.corrupt_chunk_fetches = {0};
+  net::FaultInjector inj(plan);
+  deployment_->fabric().set_fault_injector(&inj);
+  const obs::MetricsSnapshot before = obs::Metrics().Snapshot();
+  TaskCache corrupted = MakeCache(Oneshot());
+  const uint64_t corrupted_bytes = run(corrupted);
+  deployment_->fabric().set_fault_injector(nullptr);
+  ASSERT_EQ(corrupted.stats().corruptions_detected, 1u);
+  EXPECT_EQ(corrupted_bytes, clean_bytes);
+  EXPECT_DOUBLE_EQ(obs::Metrics().Snapshot().DeltaSince(before).gauges.at(
+                       "cache.bytes_cached"),
+                   static_cast<double>(clean_bytes));
+
+  corrupted.DropAll();
+  EXPECT_EQ(corrupted.stats().bytes_cached, 0u);
+  EXPECT_DOUBLE_EQ(obs::Metrics().Snapshot().DeltaSince(before).gauges.at(
+                       "cache.bytes_cached"),
+                   0.0);
 }
 
 }  // namespace
