@@ -1,6 +1,7 @@
 // Real wall-clock microbenchmarks (google-benchmark) of the client hot
 // paths: chunk build/parse, snapshot lookup (FlatHashMap vs unordered_map —
-// the parallel-hashmap substitution in §5), CRC32C, and base64lex.
+// the parallel-hashmap substitution in §5), CRC32C, base64lex, and the
+// simulator's Device::Serve against a deep busy-interval list.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -15,6 +16,7 @@
 #include "core/chunk_format.h"
 #include "core/snapshot.h"
 #include "net/fabric.h"
+#include "sim/device.h"
 #include "sim/node.h"
 
 namespace diesel {
@@ -304,7 +306,24 @@ void BM_Crc32c(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_Crc32c)->Arg(4 << 10)->Arg(4 << 20);
+BENCHMARK(BM_Crc32c)->Arg(4 << 10)->Arg(8 << 10)->Arg(4 << 20);
+
+/// One Device::Serve against a channel whose busy list sits at the 4096
+/// interval cap: every request arrives after the last interval, so the fit
+/// search has the whole list behind `now` and each insert collapses the
+/// oldest gap, as in a long-running simulation.
+void BM_DeviceServeDeepList(benchmark::State& state) {
+  constexpr Nanos kService = 1000;
+  constexpr Nanos kPeriod = 2 * kService;  // leaves a gap after each op
+  constexpr uint64_t kDeepList = 4096;     // Device's interval cap
+  sim::Device device({.name = "deep", .channels = 1, .latency = kService});
+  uint64_t n = 0;
+  for (; n < kDeepList; ++n) device.Serve(n * kPeriod, 0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(device.Serve(n++ * kPeriod, 0));
+  }
+}
+BENCHMARK(BM_DeviceServeDeepList);
 
 void BM_Base64LexEncode(benchmark::State& state) {
   Bytes data(16);  // chunk-id sized

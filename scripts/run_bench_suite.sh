@@ -6,14 +6,18 @@
 #
 #   -B build_dir   CMake build tree holding bench/ and src/tools/dlcmd
 #                  (default: build)
-#   -o out_dir     where per-bench *.report.json / *.metrics.json and the
-#                  merged BENCH_RESULTS.json land (default: bench_out)
+#   -o out_dir     where per-bench *.report.json / *.metrics.json, the
+#                  merged BENCH_RESULTS.json and host_seconds.tsv land
+#                  (default: bench_out)
 #   bench ...      bench binary names to run (default: every bench_* in
 #                  <build_dir>/bench)
 #
 # Every bench is virtual-time deterministic, so two runs of this script on
 # any machine produce byte-identical reports (bench_micro_core's wall-clock
-# numbers are carried as non-gated info metrics only).
+# numbers are carried as non-gated info metrics only). The host wall-clock
+# seconds each bench took go to host_seconds.tsv (bench, seconds at ms
+# resolution, then a total row); it is not a *.json, so byte-identity checks
+# of two suite runs skip it.
 set -euo pipefail
 
 BUILD_DIR=build
@@ -46,12 +50,23 @@ mkdir -p "$OUT_DIR"
 export DIESEL_BENCH_DIR=$OUT_DIR
 export DIESEL_METRICS_DIR=$OUT_DIR
 
+# Milliseconds as seconds with three decimals.
+fmt_ms() { printf '%d.%03d' $(($1 / 1000)) $(($1 % 1000)); }
+
+HOST_TSV="$OUT_DIR/host_seconds.tsv"
+printf 'bench\thost_s\n' > "$HOST_TSV"
+total_ms=0
 for b in "${BENCHES[@]}"; do
   echo "=== $b ==="
-  SECONDS=0
+  t0=$(date +%s%N)
   "$BENCH_DIR/$b" > "$OUT_DIR/$b.log"
-  echo "    done in ${SECONDS}s"
+  ms=$((($(date +%s%N) - t0) / 1000000))
+  total_ms=$((total_ms + ms))
+  printf '%s\t%s\n' "$b" "$(fmt_ms $ms)" >> "$HOST_TSV"
+  echo "    done in $(fmt_ms $ms)s"
 done
+printf 'total\t%s\n' "$(fmt_ms $total_ms)" >> "$HOST_TSV"
+echo "host seconds: $HOST_TSV (total $(fmt_ms $total_ms)s)"
 
 "$DLCMD" perf merge "$OUT_DIR" -o "$OUT_DIR/BENCH_RESULTS.json"
 echo "merged suite report: $OUT_DIR/BENCH_RESULTS.json"

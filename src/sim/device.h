@@ -102,7 +102,8 @@ class Device {
     Nanos end;
   };
   struct Channel {
-    std::vector<Interval> busy;  // sorted by start, non-overlapping
+    // Sorted by start and non-overlapping, so ends are sorted too.
+    std::vector<Interval> busy;
   };
 
   /// Registry handles, resolved once by BindMetrics so the per-request cost

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "common/bytes.h"
+#include "common/rng.h"
 
 namespace diesel {
 namespace {
@@ -38,6 +41,60 @@ TEST(Crc32cTest, SingleBitFlipChangesChecksum) {
     Bytes mutated = data;
     mutated[byte] ^= 1;
     EXPECT_NE(Crc32c(mutated), base) << "byte=" << byte;
+  }
+}
+
+// Reference CRC32C: one byte per step through the classic 256-entry table.
+uint32_t ReferenceCrc32c(std::span<const uint8_t> data, uint32_t crc) {
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? (0x82F63B78u ^ (c >> 1)) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t c = crc ^ 0xFFFFFFFFu;
+  for (uint8_t byte : data) c = table[(c ^ byte) & 0xFF] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32cTest, MatchesByteTableAtEveryLengthAndAlignment) {
+  constexpr size_t kMaxLen = 1024;
+  constexpr size_t kMaxOffset = 8;
+  Rng rng(2024);
+  Bytes buf(kMaxLen + kMaxOffset);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (size_t offset = 0; offset < kMaxOffset; ++offset) {
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      std::span<const uint8_t> data(buf.data() + offset, len);
+      uint32_t seed = static_cast<uint32_t>(rng.Next());
+      ASSERT_EQ(Crc32c(data), ReferenceCrc32c(data, 0))
+          << "offset=" << offset << " len=" << len;
+      ASSERT_EQ(Crc32c(data, seed), ReferenceCrc32c(data, seed))
+          << "offset=" << offset << " len=" << len << " seed=" << seed;
+    }
+  }
+}
+
+TEST(Crc32cTest, RandomSplitsStreamLikeOneShot) {
+  Rng rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    Bytes data(rng.Uniform(4096));
+    for (auto& b : data) b = static_cast<uint8_t>(rng.Next());
+    uint32_t seed = trial % 2 == 0 ? 0 : static_cast<uint32_t>(rng.Next());
+    uint32_t whole = ReferenceCrc32c(data, seed);
+    std::span<const uint8_t> rest(data);
+    uint32_t crc = seed;
+    while (!rest.empty()) {
+      size_t n = 1 + rng.Uniform(rest.size());
+      crc = Crc32c(rest.first(n), crc);
+      rest = rest.subspan(n);
+    }
+    ASSERT_EQ(crc, whole) << "trial=" << trial << " size=" << data.size();
   }
 }
 
