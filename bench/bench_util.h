@@ -31,32 +31,9 @@ namespace diesel::bench {
 /// earliest-clock worker is the next to arrive anywhere), so shared-device
 /// queueing behaves as in a real concurrent run while staying reproducible.
 ///
-/// `op(worker, clock)` performs one operation and charges the clock.
-/// Returns the makespan (max clock over workers).
-inline Nanos DriveClosedLoop(
-    size_t num_workers, size_t ops_per_worker,
-    const std::function<void(size_t, sim::VirtualClock&)>& op) {
-  std::vector<sim::VirtualClock> clocks(num_workers);
-  std::vector<size_t> done(num_workers, 0);
-  size_t remaining = num_workers * ops_per_worker;
-  while (remaining > 0) {
-    size_t next = 0;
-    for (size_t w = 1; w < num_workers; ++w) {
-      bool w_ok = done[w] < ops_per_worker;
-      bool n_ok = done[next] < ops_per_worker;
-      if (w_ok && (!n_ok || clocks[w].now() < clocks[next].now())) next = w;
-    }
-    op(next, clocks[next]);
-    ++done[next];
-    --remaining;
-  }
-  Nanos end = 0;
-  for (const auto& c : clocks) end = std::max(end, c.now());
-  return end;
-}
-
-/// Same, but workers start at `start` and the driver also reports each
-/// worker's final clock through `final` (optional).
+/// Every worker's clock starts at `start`. `op(worker, clock)` performs one
+/// operation and charges the clock. Returns the makespan (max clock over
+/// workers, at least `start`).
 inline Nanos DriveClosedLoopFrom(
     Nanos start, size_t num_workers, size_t ops_per_worker,
     const std::function<void(size_t, sim::VirtualClock&)>& op) {
@@ -76,6 +53,13 @@ inline Nanos DriveClosedLoopFrom(
   Nanos end = start;
   for (const auto& c : clocks) end = std::max(end, c.now());
   return end;
+}
+
+/// DriveClosedLoopFrom with every worker starting at time 0.
+inline Nanos DriveClosedLoop(
+    size_t num_workers, size_t ops_per_worker,
+    const std::function<void(size_t, sim::VirtualClock&)>& op) {
+  return DriveClosedLoopFrom(0, num_workers, ops_per_worker, op);
 }
 
 /// Fixed-width table printer.
@@ -156,6 +140,27 @@ inline std::string ResolveDumpPath(const std::string& bench_name,
   return std::string(dir) + "/" + bench_name + suffix;
 }
 
+/// Write `text` to `path` and print "<label>: <path>". Returns false, with
+/// the reason on stderr, when `path` is empty (ResolveDumpPath already
+/// reported why) or the file cannot be written.
+inline bool WriteArtifact(const std::string& path, const std::string& text,
+                          const char* label) {
+  if (path.empty()) return false;
+  std::ofstream out(path, std::ios::trunc);
+  if (!out) {
+    std::fprintf(stderr, "error: cannot open %s for writing\n", path.c_str());
+    return false;
+  }
+  out << text;
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "error: write to %s failed\n", path.c_str());
+    return false;
+  }
+  std::printf("%s: %s\n", label, path.c_str());
+  return true;
+}
+
 /// Dump the process-wide metrics registry as JSON next to the bench output:
 /// `$DIESEL_METRICS_DIR/<bench_name>.metrics.json` (cwd when the variable is
 /// unset; the directory is created if missing). Call once at the end of
@@ -164,19 +169,7 @@ inline std::string ResolveDumpPath(const std::string& bench_name,
 inline std::string DumpMetricsJson(const std::string& bench_name) {
   std::string path =
       ResolveDumpPath(bench_name, "DIESEL_METRICS_DIR", ".metrics.json");
-  if (path.empty()) return "";
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot open %s for writing\n", path.c_str());
-    return "";
-  }
-  out << obs::Metrics().Json() << "\n";
-  out.close();
-  if (!out) {
-    std::fprintf(stderr, "error: write to %s failed\n", path.c_str());
-    return "";
-  }
-  std::printf("metrics: %s\n", path.c_str());
+  if (!WriteArtifact(path, obs::Metrics().Json() + "\n", "metrics")) return "";
   return path;
 }
 
@@ -329,26 +322,15 @@ inline void CloseTimeline(const std::string& label, Nanos now) {
 
 namespace detail {
 // NOLINTNEXTLINE(misc-definitions-in-headers)
-inline int DumpTimelineDocument() {
-  if (g_timeline_sections.empty()) return 0;
+inline bool DumpTimelineDocument() {
+  if (g_timeline_sections.empty()) return true;
   std::string path =
       ResolveDumpPath(g_report.bench, "DIESEL_BENCH_DIR", ".timeline.json");
   std::vector<std::string> sections = std::move(g_timeline_sections);
   g_timeline_sections.clear();
-  if (path.empty()) return 1;
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
-  out << obs::TimelineDocumentJson(g_report.bench, sections) << "\n";
-  out.close();
-  if (!out) {
-    std::fprintf(stderr, "error: write to %s failed\n", path.c_str());
-    return 1;
-  }
-  std::printf("timeline: %s\n", path.c_str());
-  return 0;
+  return WriteArtifact(
+      path, obs::TimelineDocumentJson(g_report.bench, sections) + "\n",
+      "timeline");
 }
 }  // namespace detail
 
@@ -360,24 +342,12 @@ inline int CloseReport() {
   if (!detail::g_report_open) return 0;
   detail::g_report_open = false;
   bool ok = !DumpMetricsJson(detail::g_report.bench).empty();
-  ok = detail::DumpTimelineDocument() == 0 && ok;
+  ok = detail::DumpTimelineDocument() && ok;
   auto registry = JsonValue::Parse(obs::Metrics().Json());
   if (registry.ok()) detail::g_report.registry = std::move(registry).value();
   std::string path = ResolveDumpPath(detail::g_report.bench, "DIESEL_BENCH_DIR",
                                      ".report.json");
-  if (path.empty()) return 1;
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
-  out << detail::g_report.Json();
-  out.close();
-  if (!out) {
-    std::fprintf(stderr, "error: write to %s failed\n", path.c_str());
-    return 1;
-  }
-  std::printf("report: %s\n", path.c_str());
+  if (!WriteArtifact(path, detail::g_report.Json(), "report")) return 1;
   return ok ? 0 : 1;
 }
 

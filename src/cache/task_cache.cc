@@ -14,6 +14,9 @@ namespace diesel::cache {
 namespace {
 
 constexpr uint64_t kPeerRequestBytes = 96;
+/// Concurrent chunk-fetch streams per node when a partition is preloaded,
+/// re-owned or migrated (the oneshot policy pulls with several I/O workers).
+constexpr size_t kPreloadStreams = 8;
 
 /// Lead time of prefetch hits and stall of late reads.
 struct PrefetchHistos {
@@ -474,28 +477,20 @@ Result<core::FileSlice> TaskCache::ReadFromPartition(sim::VirtualClock& clock,
 }
 
 Result<Nanos> TaskCache::PreloadPartition(sim::NodeId node, Nanos start) {
-  const size_t streams = std::max<uint32_t>(1, options_.preload_streams);
   std::vector<size_t> mine;
   for (size_t ci = 0; ci < snapshot_.chunks().size(); ++ci) {
     DIESEL_ASSIGN_OR_RETURN(sim::NodeId owner, OwnerNodeOfChunk(ci));
     if (owner == node) mine.push_back(ci);
   }
-  std::vector<sim::VirtualClock> clocks(streams, sim::VirtualClock(start));
-  for (size_t next = 0; next < mine.size(); ++next) {
-    // Earliest-clock stream fetches the next chunk (closed loop).
-    size_t s = 0;
-    for (size_t k = 1; k < streams; ++k) {
-      if (clocks[k].now() < clocks[s].now()) s = k;
-    }
-    DIESEL_RETURN_IF_ERROR(EnsureLoaded(clocks[s], node, mine[next]));
+  sim::StreamPool streams(kPreloadStreams, start);
+  for (size_t ci : mine) {
+    DIESEL_RETURN_IF_ERROR(EnsureLoaded(streams.Earliest(), node, ci));
   }
-  Nanos finish = start;
-  for (const auto& c : clocks) finish = std::max(finish, c.now());
-  return finish;
+  return streams.Finish();
 }
 
 Result<Nanos> TaskCache::Preload(Nanos start) {
-  // Each master pulls its partition with `preload_streams` concurrent
+  // Each master pulls its partition with `kPreloadStreams` concurrent
   // fetch streams; nodes work in parallel so the makespan is the slowest
   // node's finish time.
   Nanos makespan = start;
@@ -797,8 +792,7 @@ Result<Nanos> TaskCache::ReownChunks(sim::NodeId node,
                                      Nanos start) {
   const EvictionOracle* oracle = oracle_.load(std::memory_order_acquire);
   const uint64_t cursor = cursor_.load(std::memory_order_relaxed);
-  const size_t streams = std::max<uint32_t>(1, options_.preload_streams);
-  std::vector<sim::VirtualClock> clocks(streams, sim::VirtualClock(start));
+  sim::StreamPool streams(kPreloadStreams, start);
   uint64_t loaded = 0;
   uint64_t skipped = 0;
   for (size_t ci : chunks) {
@@ -808,11 +802,7 @@ Result<Nanos> TaskCache::ReownChunks(sim::NodeId node,
       continue;
     }
     if (ChunkResident(ci)) continue;
-    size_t s = 0;
-    for (size_t k = 1; k < streams; ++k) {
-      if (clocks[k].now() < clocks[s].now()) s = k;
-    }
-    DIESEL_RETURN_IF_ERROR(EnsureLoaded(clocks[s], node, ci));
+    DIESEL_RETURN_IF_ERROR(EnsureLoaded(streams.Earliest(), node, ci));
     ++loaded;
   }
   if (loaded > 0) {
@@ -823,9 +813,7 @@ Result<Nanos> TaskCache::ReownChunks(sim::NodeId node,
         .Inc(loaded);
   }
   if (skipped > 0) stats_.Add<&TaskCacheStats::reown_skipped>(skipped);
-  Nanos finish = start;
-  for (const auto& c : clocks) finish = std::max(finish, c.now());
-  return finish;
+  return streams.Finish();
 }
 
 Result<sim::NodeId> TaskCache::ServingOwner(size_t chunk_index, Nanos now) {
@@ -984,8 +972,7 @@ void TaskCache::MigrateForChange(const membership::MembershipChange& change) {
     // reads until the move's arrival (migration record); a chunk that is
     // not resident (or whose transfer fails) simply faults in at the new
     // owner on demand.
-    std::map<sim::NodeId, std::vector<sim::VirtualClock>> dest_streams;
-    const size_t streams = std::max<uint32_t>(1, options_.preload_streams);
+    std::map<sim::NodeId, sim::StreamPool> dest_streams;
     for (const Move& m : moves) {
       // Share the source buffer instead of copying it: the migration "send"
       // is charged on the fabric below, but host-side the move is a refcount
@@ -1004,21 +991,18 @@ void TaskCache::MigrateForChange(const membership::MembershipChange& change) {
         }
       }
       if (!buffer.valid()) continue;
-      auto& clocks = dest_streams[m.to];
-      if (clocks.empty()) clocks.assign(streams, sim::VirtualClock(start));
-      sim::VirtualClock* stream = &clocks.front();
-      for (sim::VirtualClock& st : clocks) {
-        if (st.now() < stream->now()) stream = &st;
-      }
+      sim::VirtualClock& stream =
+          dest_streams.try_emplace(m.to, kPreloadStreams, start)
+              .first->second.Earliest();
       const uint64_t size = buffer.size();
-      obs::ScopedSpan span(fabric_.tracer(), "membership.migrate", *stream,
+      obs::ScopedSpan span(fabric_.tracer(), "membership.migrate", stream,
                            m.from);
       span.Note("chunk=" + std::to_string(m.ci) + " to=n" +
                 std::to_string(m.to));
-      Status call = fabric_.Call(*stream, m.from, m.to, kPeerRequestBytes,
+      Status call = fabric_.Call(stream, m.from, m.to, kPeerRequestBytes,
                                  size, [](Nanos arrival) { return arrival; });
       if (!call.ok()) continue;
-      Nanos ready = stream->now();
+      Nanos ready = stream.now();
       InsertResult r = InsertChunk(m.to, m.ci, std::move(buffer),
                                    /*prefetched=*/false, /*ready_at=*/ready,
                                    std::move(verified));

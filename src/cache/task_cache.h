@@ -64,9 +64,6 @@ struct TaskCacheOptions {
   /// Cap on cached bytes per node; 0 = unbounded. When full, evict in FIFO
   /// order, or Belady's MIN while an EvictionOracle is installed.
   uint64_t per_node_capacity_bytes = 0;
-  /// Concurrent chunk-fetch streams per node during Preload (the
-  /// oneshot policy pulls with multiple I/O workers).
-  uint32_t preload_streams = 8;
   /// Retry policy for peer and backend RPCs (rides out flaps/drops).
   RetryPolicy retry{};
   /// Per-owner-node circuit breaker: after `failure_threshold` consecutive

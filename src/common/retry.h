@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 
 #include "common/status.h"
@@ -40,40 +41,36 @@ struct RetryPolicy {
   /// Backoff charged before retry number `attempt` (1 = first retry).
   Nanos BackoffBefore(uint32_t attempt) const;
 
-  /// Drive `fn` (returning Status) until it succeeds, fails with a
-  /// non-transient code, or the policy is exhausted. Backoff waits advance
-  /// `clock`; the last Status is returned.
+  /// Drive `fn` (returning Status or Result<T>) until it succeeds, fails
+  /// with a non-transient code, or the policy is exhausted. Backoff waits
+  /// advance `clock`; the last outcome is returned.
   template <typename Fn>
-  Status Run(sim::VirtualClock& clock, Fn&& fn) const {
+  std::invoke_result_t<Fn&> Run(sim::VirtualClock& clock, Fn&& fn) const {
     const Nanos start = clock.now();
     for (uint32_t attempt = 1;; ++attempt) {
-      Status st = fn();
-      if (!st.IsUnavailable()) return st;
-      if (attempt >= std::max<uint32_t>(1, max_attempts)) return st;
+      std::invoke_result_t<Fn&> out = fn();
+      if (!StatusOf(out).IsUnavailable()) return out;
+      if (attempt >= std::max<uint32_t>(1, max_attempts)) return out;
       Nanos wait = BackoffBefore(attempt);
       if (deadline_budget != 0 &&
           clock.now() - start + wait > deadline_budget) {
-        return st;
+        return out;
       }
       clock.Advance(wait);
     }
   }
 
-  /// Result<T> flavour of Run().
+  /// Run() for a callable whose result converts to Result<T>.
   template <typename T, typename Fn>
   Result<T> RunResult(sim::VirtualClock& clock, Fn&& fn) const {
-    const Nanos start = clock.now();
-    for (uint32_t attempt = 1;; ++attempt) {
-      Result<T> r = fn();
-      if (!r.status().IsUnavailable()) return r;
-      if (attempt >= std::max<uint32_t>(1, max_attempts)) return r;
-      Nanos wait = BackoffBefore(attempt);
-      if (deadline_budget != 0 &&
-          clock.now() - start + wait > deadline_budget) {
-        return r;
-      }
-      clock.Advance(wait);
-    }
+    return Run(clock, [&]() -> Result<T> { return fn(); });
+  }
+
+ private:
+  static const Status& StatusOf(const Status& st) { return st; }
+  template <typename T>
+  static const Status& StatusOf(const Result<T>& r) {
+    return r.status();
   }
 };
 

@@ -55,7 +55,7 @@ Status DieselClient::Put(const std::string& path, BytesView content) {
 }
 
 Status DieselClient::Replace(const std::string& path, BytesView content) {
-  Status st = WithServerRetryStatus([&](DieselServer& s) {
+  Status st = WithServerRetry([&](DieselServer& s) {
     return s.DeleteFile(clock_, options_.node, options_.dataset, path);
   });
   if (!st.ok() && !st.IsNotFound()) return st;
@@ -75,7 +75,7 @@ Status DieselClient::Flush() {
   // Write-behind: DL_flush returns once the local buffer is on the wire;
   // durability time is tracked for callers that need the write makespan.
   DIESEL_ASSIGN_OR_RETURN(
-      Nanos durable, WithServerRetry<Nanos>([&](DieselServer& s) {
+      Nanos durable, WithServerRetry([&](DieselServer& s) {
         return s.IngestChunkAsync(clock_, options_.node, options_.dataset,
                                   chunk);
       }));
@@ -93,7 +93,7 @@ Result<FileMeta> DieselClient::ResolveMeta(const std::string& path) {
     return *fm;
   }
   ++stats_.server_metadata_ops;
-  return WithServerRetry<FileMeta>([&](DieselServer& s) {
+  return WithServerRetry([&](DieselServer& s) {
     return s.StatFile(clock_, options_.node, options_.dataset, path);
   });
 }
@@ -107,7 +107,7 @@ Result<Bytes> DieselClient::Get(const std::string& path) {
     return content;
   }
   DIESEL_ASSIGN_OR_RETURN(Bytes content,
-                          WithServerRetry<Bytes>([&](DieselServer& s) {
+                          WithServerRetry([&](DieselServer& s) {
                             return s.ReadFile(clock_, options_.node,
                                               options_.dataset, path);
                           }));
@@ -148,7 +148,7 @@ Result<std::vector<Bytes>> DieselClient::GetBatch(
   }
   DIESEL_ASSIGN_OR_RETURN(
       std::vector<Bytes> out,
-      WithServerRetry<std::vector<Bytes>>([&](DieselServer& s) {
+      WithServerRetry([&](DieselServer& s) {
         return s.ReadFiles(clock_, options_.node, options_.dataset, paths);
       }));
   for (const Bytes& b : out) {
@@ -169,14 +169,14 @@ Result<std::vector<DirEntry>> DieselClient::List(const std::string& dir_path) {
     return snapshot_->ListDir(dir_path);
   }
   ++stats_.server_metadata_ops;
-  return WithServerRetry<std::vector<DirEntry>>([&](DieselServer& s) {
+  return WithServerRetry([&](DieselServer& s) {
     return s.ListDir(clock_, options_.node, options_.dataset, dir_path);
   });
 }
 
 Status DieselClient::Delete(const std::string& path) {
   // Deletion invalidates any loaded snapshot (dataset timestamp moves).
-  Status st = WithServerRetryStatus([&](DieselServer& s) {
+  Status st = WithServerRetry([&](DieselServer& s) {
     return s.DeleteFile(clock_, options_.node, options_.dataset, path);
   });
   if (st.ok() && snapshot_) snapshot_.reset();
@@ -186,7 +186,7 @@ Status DieselClient::Delete(const std::string& path) {
 Status DieselClient::FetchSnapshot() {
   DIESEL_ASSIGN_OR_RETURN(
       MetadataSnapshot snap,
-      WithServerRetry<MetadataSnapshot>([&](DieselServer& s) {
+      WithServerRetry([&](DieselServer& s) {
         return s.BuildSnapshot(clock_, options_.node, options_.dataset);
       }));
   snapshot_ = std::move(snap);
@@ -213,7 +213,7 @@ Status DieselClient::LoadMeta(ostore::ObjectStore& local_disk,
   // Freshness check against the KV record (§4.1.3).
   DIESEL_ASSIGN_OR_RETURN(
       DatasetMeta current,
-      WithServerRetry<DatasetMeta>([&](DieselServer& s) {
+      WithServerRetry([&](DieselServer& s) {
         return s.GetDatasetMeta(clock_, options_.node, options_.dataset);
       }));
   if (!snap.IsUpToDate(current))

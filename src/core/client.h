@@ -46,8 +46,6 @@ class DatasetCacheInterface {
 };
 
 struct ClientOptions {
-  std::string user = "anon";
-  std::string access_key;
   std::string dataset;
   sim::NodeId node = 0;
   uint32_t client_index = 0;  // endpoint index on the node (rank tiebreak)
@@ -153,15 +151,10 @@ class DieselClient {
 
   /// Drive `fn(server)` under the retry policy, re-picking the server on
   /// every attempt so transient faults fail over across the server set.
-  template <typename T, typename Fn>
-  Result<T> WithServerRetry(Fn&& fn) {
-    return options_.retry.RunResult<T>(
-        clock_, [&]() -> Result<T> { return fn(*PickServer()); });
-  }
+  /// Returns what `fn` returns (Status or Result<T>).
   template <typename Fn>
-  Status WithServerRetryStatus(Fn&& fn) {
-    return options_.retry.Run(clock_,
-                              [&]() -> Status { return fn(*PickServer()); });
+  auto WithServerRetry(Fn&& fn) {
+    return options_.retry.Run(clock_, [&] { return fn(*PickServer()); });
   }
 
   net::Fabric& fabric_;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <numeric>
 
+#include "common/retry.h"
 #include "core/chunk_format.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -13,6 +14,10 @@ namespace diesel::core {
 namespace {
 
 constexpr uint64_t kRpcOverheadBytes = 96;
+/// Retry for the object-store reads RecoverMetadata drives (List /
+/// GetRange / Size). Recovery typically runs while the cluster is still
+/// unhealthy, so a transient drop must not abort the whole redrive.
+constexpr RetryPolicy kRecoveryRetry{};
 
 sim::DeviceSpec ServerServiceSpec(sim::NodeId node) {
   // Bounded per-server capacity: 8 executor threads, ~30us per request.
@@ -309,25 +314,20 @@ Result<std::vector<Bytes>> DieselServer::ReadChunks(
         // Pull the blobs on parallel store streams: the earliest-finishing
         // stream picks up the next chunk, so backend parallelism matches the
         // same number of unbatched calls from that many client streams.
-        const size_t streams = std::max<size_t>(1, fetch_streams);
-        std::vector<sim::VirtualClock> clocks(std::min(streams, ids.size()),
-                                              sim::VirtualClock(srv.now()));
+        sim::StreamPool streams(
+            std::min(std::max<size_t>(1, fetch_streams), ids.size()),
+            srv.now());
         for (size_t i = 0; i < ids.size(); ++i) {
-          size_t s = 0;
-          for (size_t k = 1; k < clocks.size(); ++k) {
-            if (clocks[k].now() < clocks[s].now()) s = k;
-          }
-          blobs[i] = store_.Get(clocks[s], options_.node,
+          sim::VirtualClock& stream = streams.Earliest();
+          blobs[i] = store_.Get(stream, options_.node,
                                 ChunkObjectKey(dataset, ids[i]));
-          ready[i] = clocks[s].now();
+          ready[i] = stream.now();
           if (blobs[i].ok()) {
             chunk_reads.Inc();
             chunk_read_bytes.Inc(blobs[i].value().size());
           }
         }
-        Nanos done = arrival;
-        for (const auto& c : clocks) done = std::max(done, c.now());
-        return done;
+        return streams.Finish();
       }));
   // The response is streamed: chunk i's bytes start crossing the client NIC
   // as soon as its store read finishes rather than after the whole batch is
@@ -486,34 +486,25 @@ Result<Nanos> DieselServer::PrefetchDataset(sim::VirtualClock& clock,
                                             size_t streams) {
   DIESEL_ASSIGN_OR_RETURN(std::vector<ChunkId> chunks,
                           meta_.ListChunks(clock, dataset));
-  streams = std::max<size_t>(1, streams);
-  std::vector<sim::VirtualClock> clocks(streams,
-                                        sim::VirtualClock(clock.now()));
+  sim::StreamPool pool(std::max<size_t>(1, streams), clock.now());
   for (const ChunkId& id : chunks) {
-    size_t s = 0;
-    for (size_t k = 1; k < streams; ++k) {
-      if (clocks[k].now() < clocks[s].now()) s = k;
-    }
     // A whole-object read promotes the chunk into the fast tier when the
     // store is tiered; on a flat store this is a no-op warm read.
     DIESEL_ASSIGN_OR_RETURN(
-        Bytes blob,
-        store_.Get(clocks[s], options_.node, ChunkObjectKey(dataset, id)));
+        Bytes blob, store_.Get(pool.Earliest(), options_.node,
+                               ChunkObjectKey(dataset, id)));
     (void)blob;
   }
-  Nanos end = clock.now();
-  for (const auto& c : clocks) end = std::max(end, c.now());
-  return end;
+  return pool.Finish();
 }
 
 Result<RecoveryStats> DieselServer::RecoverMetadata(sim::VirtualClock& clock,
                                                     const std::string& dataset,
                                                     uint32_t from_ts_sec) {
   RecoveryStats stats;
-  const RetryPolicy& rp = options_.recovery_retry;
   DIESEL_ASSIGN_OR_RETURN(
       std::vector<std::string> keys,
-      rp.RunResult<std::vector<std::string>>(clock, [&] {
+      kRecoveryRetry.RunResult<std::vector<std::string>>(clock, [&] {
         return store_.List(clock, options_.node, ChunkObjectPrefix(dataset));
       }));
   // Keys are lexicographically sorted == chunk write order (base64lex).
@@ -525,14 +516,14 @@ Result<RecoveryStats> DieselServer::RecoverMetadata(sim::VirtualClock& clock,
     if (from_ts_sec != 0 && id.timestamp_sec() < from_ts_sec) continue;
     // Header-only read: peek the header length, then fetch just the header.
     DIESEL_ASSIGN_OR_RETURN(Bytes first12,
-                            rp.RunResult<Bytes>(clock, [&] {
+                            kRecoveryRetry.RunResult<Bytes>(clock, [&] {
                               return store_.GetRange(clock, options_.node,
                                                      key, 0, 12);
                             }));
     DIESEL_ASSIGN_OR_RETURN(uint32_t header_len,
                             ChunkView::PeekHeaderLen(first12));
     DIESEL_ASSIGN_OR_RETURN(Bytes header,
-                            rp.RunResult<Bytes>(clock, [&] {
+                            kRecoveryRetry.RunResult<Bytes>(clock, [&] {
                               return store_.GetRange(clock, options_.node,
                                                      key, 0, header_len);
                             }));
@@ -559,7 +550,7 @@ Result<RecoveryStats> DieselServer::RecoverMetadata(sim::VirtualClock& clock,
     ChunkMeta cm;
     cm.update_ts_ns = view.create_ts_ns();
     DIESEL_ASSIGN_OR_RETURN(uint64_t blob_size,
-                            rp.RunResult<uint64_t>(clock, [&] {
+                            kRecoveryRetry.RunResult<uint64_t>(clock, [&] {
                               return store_.Size(clock, options_.node, key);
                             }));
     cm.size = blob_size;

@@ -41,7 +41,6 @@ Result<EpochResult> TrainingPipeline::RunEpoch(
     Nanos t = start + shuffle_cost;
     for (size_t i = 0; i < iterations; ++i) {
       sim::VirtualClock scratch(t);
-      if (options_.batch_hook) options_.batch_hook(i, scratch.now());
       DIESEL_RETURN_IF_ERROR(read_batch(i, scratch));
       Nanos fetch = (scratch.now() - t) / W;
       Nanos wait = fetch + (i == 0 ? shuffle_cost : 0);
@@ -63,7 +62,6 @@ Result<EpochResult> TrainingPipeline::RunEpoch(
   // Workers prefetch their assigned batches back to back.
   for (size_t i = 0; i < iterations; ++i) {
     sim::VirtualClock& w = workers[i % W];
-    if (options_.batch_hook) options_.batch_hook(i, w.now());
     DIESEL_RETURN_IF_ERROR(read_batch(i, w));
     ready[i] = w.now();
   }

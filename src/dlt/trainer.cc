@@ -8,12 +8,18 @@
 #include "obs/metrics.h"
 
 namespace diesel::dlt {
+namespace {
+
+constexpr double kWeightDecay = 1e-4;
+constexpr uint64_t kInitSeed = 1234;
+
+}  // namespace
 
 SoftmaxTrainer::SoftmaxTrainer(TrainerOptions options)
     : options_(options),
       w_(options_.num_classes * (options_.dims + 1), 0.0) {
   // Small symmetric init so epoch-1 accuracy starts near chance.
-  Rng rng(options_.init_seed);
+  Rng rng(kInitSeed);
   for (double& v : w_) v = rng.NextGaussian() * 0.01;
 }
 
@@ -68,7 +74,7 @@ double SoftmaxTrainer::TrainBatch(std::span<const LabelledSample> batch) {
   double scale = options_.learning_rate / static_cast<double>(batch.size());
   for (size_t i = 0; i < w_.size(); ++i) {
     w_[i] -= scale * grad[i] +
-             options_.learning_rate * options_.weight_decay * w_[i];
+             options_.learning_rate * kWeightDecay * w_[i];
   }
   double mean_loss = loss / static_cast<double>(batch.size());
   auto& m = obs::Metrics();

@@ -21,8 +21,6 @@ struct TrainerOptions {
   size_t dims = 32;
   size_t minibatch = 32;
   double learning_rate = 0.05;
-  double weight_decay = 1e-4;
-  uint64_t init_seed = 1234;
 };
 
 struct LabelledSample {

@@ -45,8 +45,7 @@ struct OpMetrics {
 }  // namespace
 
 KvCluster::KvCluster(net::Fabric& fabric, KvClusterOptions options)
-    : fabric_(fabric), options_(std::move(options)),
-      ring_(options_.ring_vnodes) {
+    : fabric_(fabric), options_(std::move(options)) {
   assert(!options_.nodes.empty());
   uint32_t id = 0;
   for (sim::NodeId node : options_.nodes) {

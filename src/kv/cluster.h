@@ -27,7 +27,6 @@ struct KvClusterOptions {
   /// Nodes hosting shards.
   std::vector<sim::NodeId> nodes;
   uint32_t shards_per_node = 4;
-  uint32_t ring_vnodes = 64;
   /// Per-operation retry around shard flaps and injected RPC drops. The
   /// default budget rides out short outages; permanently-down shards still
   /// surface Unavailable once the policy is exhausted.

@@ -9,6 +9,10 @@
 namespace diesel::membership {
 namespace {
 
+/// Virtual nodes per member on the ownership ring. More vnodes = tighter
+/// balance (stddev ~ 1/sqrt(vnodes)) at O(log) lookup cost.
+constexpr uint32_t kVnodesPerMember = 128;
+
 struct MemCounters {
   obs::Counter& changes = obs::Metrics().GetCounter("membership.changes");
   obs::Counter& joins = obs::Metrics().GetCounter("membership.joins");
@@ -53,8 +57,7 @@ const char* ToString(NodeState state) {
   return "?";
 }
 
-MembershipTable::MembershipTable(MembershipOptions options)
-    : options_(options), ring_(options.vnodes_per_member) {}
+MembershipTable::MembershipTable() : ring_(kVnodesPerMember) {}
 
 void MembershipTable::Bootstrap(const std::vector<sim::NodeId>& nodes,
                                 Nanos at) {

@@ -66,18 +66,12 @@ class MembershipListener {
   virtual void OnMembershipChange(const MembershipChange& change) = 0;
 };
 
-struct MembershipOptions {
-  /// Virtual nodes per member on the ownership ring. More vnodes = tighter
-  /// balance (stddev ~ 1/sqrt(vnodes)) at O(log) lookup cost.
-  uint32_t vnodes_per_member = 128;
-};
-
 /// The authoritative, versioned view of which nodes belong to the task and
 /// which chunks they own. Thread-safe; mutations are serialized and each
 /// bumps `epoch()` exactly once.
 class MembershipTable {
  public:
-  explicit MembershipTable(MembershipOptions options = {});
+  MembershipTable();
 
   /// Install the initial node set (epoch 1). Must be called exactly once,
   /// before any other mutation.
@@ -117,7 +111,6 @@ class MembershipTable {
   uint64_t ApplyLocked(ChangeKind kind, sim::NodeId node, Nanos at,
                        std::unique_lock<std::mutex>& lock);
 
-  MembershipOptions options_;
   mutable std::mutex mutex_;
   uint64_t epoch_ = 0;
   kv::HashRing ring_;

@@ -12,7 +12,7 @@ constexpr uint64_t kItemOverheadBytes = 40;  // memcached protocol framing
 }  // namespace
 
 MemcachedCluster::MemcachedCluster(net::Fabric& fabric, MemcacheOptions options)
-    : fabric_(fabric), ring_(options.ring_vnodes) {
+    : fabric_(fabric) {
   assert(!options.nodes.empty());
   for (uint32_t i = 0; i < options.nodes.size(); ++i) {
     auto inst = std::make_unique<Instance>();

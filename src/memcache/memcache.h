@@ -24,7 +24,6 @@ namespace diesel::memcache {
 
 struct MemcacheOptions {
   std::vector<sim::NodeId> nodes;   // one instance per node
-  uint32_t ring_vnodes = 64;
 };
 
 class MemcachedCluster {

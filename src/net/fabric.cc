@@ -36,30 +36,16 @@ size_t ConnectionTable::ConnectionsOf(EndpointId e) const {
 
 size_t ConnectionTable::DisconnectAll(EndpointId e) {
   std::lock_guard<std::mutex> lock(mutex_);
-  size_t removed = 0;
-  for (auto it = connections_.begin(); it != connections_.end();) {
-    if (it->first == e || it->second == e) {
-      it = connections_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
-  return removed;
+  return std::erase_if(connections_, [e](const Pair& p) {
+    return p.first == e || p.second == e;
+  });
 }
 
 size_t ConnectionTable::DisconnectNode(sim::NodeId node) {
   std::lock_guard<std::mutex> lock(mutex_);
-  size_t removed = 0;
-  for (auto it = connections_.begin(); it != connections_.end();) {
-    if (it->first.node == node || it->second.node == node) {
-      it = connections_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
-  return removed;
+  return std::erase_if(connections_, [node](const Pair& p) {
+    return p.first.node == node || p.second.node == node;
+  });
 }
 
 void ConnectionTable::Clear() {

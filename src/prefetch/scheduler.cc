@@ -23,7 +23,6 @@ PrefetchScheduler::PrefetchScheduler(cache::TaskCache& cache,
       fabric_(fabric),
       snapshot_(snapshot),
       options_(options) {
-  if (options_.streams_per_node == 0) options_.streams_per_node = 1;
   // Payload estimate per chunk, for budget accounting before the real blob
   // size is known.
   chunk_bytes_.assign(snapshot_.chunks().size(), 0);
@@ -84,8 +83,7 @@ void PrefetchScheduler::StartEpoch(const shuffle::ShufflePlan& plan,
   for (size_t i = 0; i < owners.size(); ++i) {
     nodes_[i].node = owners[i];
     nodes_[i].fill_order = std::move(fills[i]);
-    nodes_[i].streams.assign(options_.streams_per_node,
-                             sim::VirtualClock(now));
+    nodes_[i].streams = sim::StreamPool(kFillStreamsPerNode, now);
   }
 
   if (options_.belady_eviction) cache_.InstallEvictionOracle(schedule_.get());
@@ -148,15 +146,13 @@ void PrefetchScheduler::RescaleLocked(Nanos now) {
     nodes_.emplace_back();
     NodeState& ns = nodes_.back();
     ns.node = node;
+    ns.streams = sim::StreamPool(kFillStreamsPerNode, now);
     for (NodeState& old : old_nodes) {
       if (old.node == node) {
         ns.streams = std::move(old.streams);
-        for (sim::VirtualClock& st : ns.streams) st.AdvanceTo(now);
+        ns.streams.AdvanceTo(now);
         break;
       }
-    }
-    if (ns.streams.empty()) {
-      ns.streams.assign(options_.streams_per_node, sim::VirtualClock(now));
     }
     return ns;
   };
@@ -211,11 +207,7 @@ void PrefetchScheduler::AdvanceLocked(size_t position, Nanos now) {
 
   // Queue depth: streams whose fill tail extends past the foreground's now.
   uint64_t depth = 0;
-  for (const NodeState& ns : nodes_) {
-    for (const sim::VirtualClock& st : ns.streams) {
-      if (st.now() > now) ++depth;
-    }
-  }
+  for (const NodeState& ns : nodes_) depth += ns.streams.BusyAfter(now);
   QueueDepth().Observe(static_cast<double>(depth));
 }
 
@@ -251,13 +243,10 @@ void PrefetchScheduler::IssueFillsLocked(size_t position, Nanos now) {
       }
 
       // Earliest-finishing stream takes the fill.
-      sim::VirtualClock* stream = &ns.streams.front();
-      for (sim::VirtualClock& st : ns.streams) {
-        if (st.now() < stream->now()) stream = &st;
-      }
-      stream->AdvanceTo(now);
+      sim::VirtualClock& stream = ns.streams.Earliest();
+      stream.AdvanceTo(now);
 
-      if (!fabric_.NodeAvailable(ns.node, stream->now())) {
+      if (!fabric_.NodeAvailable(ns.node, stream.now())) {
         // Owner is flapped: don't burn the retry budget in the background;
         // the foreground's on-demand path (with failover) covers this chunk.
         stats_.Add<&PrefetchSchedulerStats::skipped_down>();
@@ -267,7 +256,7 @@ void PrefetchScheduler::IssueFillsLocked(size_t position, Nanos now) {
 
       cache_.Pin(ci);
       stats_.Add<&PrefetchSchedulerStats::issued>();
-      auto out = cache_.PrefetchChunk(*stream, ci);
+      auto out = cache_.PrefetchChunk(stream, ci);
       if (!out.ok() || (!out->inserted && !out->already_resident)) {
         // Fetch failed or capacity denied the insert: the fill is aborted
         // and the pin released, so the foreground path stays unobstructed.

@@ -49,13 +49,14 @@ class BudgetGovernor {
   virtual uint64_t PrefetchBudgetBytes(uint64_t base) const = 0;
 };
 
+/// Concurrent background fill streams per owner node.
+inline constexpr size_t kFillStreamsPerNode = 2;
+
 struct PrefetchOptions {
   /// Fill chunks whose first access lies within this many file-order
   /// positions of the training cursor; SIZE_MAX = the whole epoch (the byte
   /// budget still bounds how far fills actually run ahead).
   size_t lookahead_files = static_cast<size_t>(-1);
-  /// Concurrent background fill streams per owner node.
-  uint32_t streams_per_node = 2;
   /// Cap on pinned prefetch bytes per node (in-flight fills plus resident
   /// chunks pinned ahead of their access); 0 inherits HALF the cache's
   /// per_node_capacity_bytes so pins can never saturate the partition
@@ -151,7 +152,7 @@ class PrefetchScheduler : public membership::MembershipListener {
     sim::NodeId node = sim::kInvalidNode;
     std::vector<size_t> fill_order;  // owned chunks, first-access order
     size_t next = 0;                 // fill_order cursor
-    std::vector<sim::VirtualClock> streams;
+    sim::StreamPool streams{kFillStreamsPerNode, 0};
     std::deque<PinRec> pins;  // released as the cursor passes first_access
     uint64_t outstanding_bytes = 0;
   };

@@ -22,14 +22,6 @@ Nanos Device::ServiceTime(uint64_t bytes) const {
   return spec_.latency + transfer;
 }
 
-Nanos Device::Serve(Nanos now, uint64_t bytes) {
-  return Serve(now, bytes, 0, nullptr);
-}
-
-Nanos Device::Serve(Nanos now, uint64_t bytes, Nanos extra) {
-  return Serve(now, bytes, extra, nullptr);
-}
-
 void Device::BindMetrics(const std::string& node) {
   obs::MetricsRegistry& reg = obs::Metrics();
   obs::Labels labels{{"device", spec_.name}, {"node", node}};

@@ -63,14 +63,11 @@ class Device {
   /// Service time for `bytes` excluding queueing (latency + transfer).
   Nanos ServiceTime(uint64_t bytes) const;
 
-  /// Serve a request arriving at `now`; returns completion time.
-  Nanos Serve(Nanos now, uint64_t bytes);
-
-  /// Serve with an extra fixed cost (e.g. op-specific CPU work).
-  Nanos Serve(Nanos now, uint64_t bytes, Nanos extra);
-
-  /// Serve and report per-request queueing accounting (`out` may be null).
-  Nanos Serve(Nanos now, uint64_t bytes, Nanos extra, ServeStats* out);
+  /// Serve a request arriving at `now` with an `extra` fixed cost (e.g.
+  /// op-specific CPU work); returns completion time. Per-request queueing
+  /// accounting goes to `out` when it is non-null.
+  Nanos Serve(Nanos now, uint64_t bytes, Nanos extra = 0,
+              ServeStats* out = nullptr);
 
   const DeviceSpec& spec() const { return spec_; }
 
