@@ -4,6 +4,10 @@
 #include <bit>
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 namespace diesel {
 namespace {
 
@@ -34,9 +38,29 @@ constexpr auto kTables = MakeTables();
 // The word load below reads bytes in little-endian order.
 static_assert(std::endian::native == std::endian::little);
 
+#if defined(__x86_64__)
+// SSE4.2 crc32 instruction: the same polynomial, one 8-byte word per step.
+[[gnu::target("sse4.2")]] uint32_t Crc32cSse42(std::span<const uint8_t> data,
+                                               uint32_t crc) {
+  uint64_t c = crc ^ 0xFFFFFFFFu;
+  const uint8_t* p = data.data();
+  size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t w;
+    std::memcpy(&w, p, sizeof(w));  // unaligned load
+    c = _mm_crc32_u64(c, w);
+  }
+  auto c32 = static_cast<uint32_t>(c);
+  for (; n > 0; ++p, --n) c32 = _mm_crc32_u8(c32, *p);
+  return c32 ^ 0xFFFFFFFFu;
+}
+#endif
+
 }  // namespace
 
-uint32_t Crc32c(std::span<const uint8_t> data, uint32_t crc) {
+namespace crc32_internal {
+
+uint32_t Crc32cPortable(std::span<const uint8_t> data, uint32_t crc) {
   uint32_t c = crc ^ 0xFFFFFFFFu;
   const uint8_t* p = data.data();
   size_t n = data.size();
@@ -53,6 +77,23 @@ uint32_t Crc32c(std::span<const uint8_t> data, uint32_t crc) {
     c = kTables[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
+}
+
+}  // namespace crc32_internal
+
+uint32_t Crc32c(std::span<const uint8_t> data, uint32_t crc) {
+#if defined(__x86_64__)
+  // Picked once, on first use; the CPU check may run during static
+  // initialisation, before the runtime's own cpu-model set-up.
+  static const auto kernel = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") ? &Crc32cSse42
+                                            : &crc32_internal::Crc32cPortable;
+  }();
+  return kernel(data, crc);
+#else
+  return crc32_internal::Crc32cPortable(data, crc);
+#endif
 }
 
 }  // namespace diesel

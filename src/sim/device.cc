@@ -64,6 +64,8 @@ Nanos Device::Serve(Nanos now, uint64_t bytes, Nanos extra, ServeStats* out) {
     if (start < best_start) {
       best_start = start;
       best_channel = c;
+      // No fit starts before `now`, and ties go to the lowest index.
+      if (start == now) break;
     }
   }
   size_t collapsed =
@@ -96,9 +98,10 @@ Nanos Device::Serve(Nanos now, uint64_t bytes, Nanos extra, ServeStats* out) {
   return done;
 }
 
-// A channel's intervals are sorted by start and disjoint, so their ends are
-// sorted too (Insert merges touching neighbours; the kMaxIntervals collapse
-// only widens [1] back to [0]'s start). Serve makes every interval at least
+// A channel's live intervals are sorted by start and disjoint, so their ends
+// are sorted too (Insert merges touching neighbours; the kMaxIntervals
+// collapse only widens the second live interval back to the first one's
+// start before dropping the first). Serve makes every interval at least
 // 1 ns long, so one that ends at or before `now` also starts before it: it can
 // neither stop the scan nor raise `candidate`. The binary search skips those
 // exactly, and the scan starts at the first interval still busy after `now`.
@@ -111,7 +114,7 @@ Nanos Device::Serve(Nanos now, uint64_t bytes, Nanos extra, ServeStats* out) {
 [[gnu::noinline, gnu::optimize("align-loops=64", "align-jumps=64")]] Nanos
 Device::EarliestFit(const Channel& ch, Nanos now, Nanos dur) {
   auto it = std::partition_point(
-      ch.busy.begin(), ch.busy.end(),
+      ch.busy.begin() + ch.head, ch.busy.end(),
       [now](const Interval& iv) { return iv.end <= now; });
   Nanos candidate = now;
   for (; it != ch.busy.end(); ++it) {
@@ -123,11 +126,11 @@ Device::EarliestFit(const Channel& ch, Nanos now, Nanos dur) {
 
 size_t Device::Insert(Channel& ch, Nanos start, Nanos end) {
   auto it = std::lower_bound(
-      ch.busy.begin(), ch.busy.end(), start,
+      ch.busy.begin() + ch.head, ch.busy.end(), start,
       [](const Interval& iv, Nanos s) { return iv.start < s; });
   it = ch.busy.insert(it, {start, end});
   // Merge with touching neighbours to keep the list short.
-  if (it != ch.busy.begin()) {
+  if (it != ch.busy.begin() + ch.head) {
     auto prev = it - 1;
     if (prev->end >= it->start) {
       prev->end = std::max(prev->end, it->end);
@@ -143,10 +146,15 @@ size_t Device::Insert(Channel& ch, Nanos start, Nanos end) {
   // Bound memory: collapse the oldest gap when the list grows long. This is
   // conservative (pretends the gap was busy) but only affects requests that
   // arrive more than kMaxIntervals ops in the past. Reported so skewed
-  // backfill accounting is visible instead of silent.
-  if (ch.busy.size() > kMaxIntervals) {
-    ch.busy[1].start = ch.busy[0].start;
-    ch.busy.erase(ch.busy.begin());
+  // backfill accounting is visible instead of silent. The dropped interval
+  // stays in place behind `head`; the dead prefix is erased in one move once
+  // it is kMaxIntervals long, so a collapse costs O(1) amortised.
+  if (ch.busy.size() - ch.head > kMaxIntervals) {
+    ch.busy[ch.head + 1].start = ch.busy[ch.head].start;
+    if (++ch.head == kMaxIntervals) {
+      ch.busy.erase(ch.busy.begin(), ch.busy.begin() + ch.head);
+      ch.head = 0;
+    }
     return 1;
   }
   return 0;
@@ -174,7 +182,10 @@ uint64_t Device::intervals_collapsed() const {
 
 void Device::Reset() {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& ch : channels_) ch.busy.clear();
+  for (auto& ch : channels_) {
+    ch.busy.clear();
+    ch.head = 0;
+  }
   ops_ = 0;
   bytes_ = 0;
   busy_ = 0;

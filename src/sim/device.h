@@ -99,8 +99,12 @@ class Device {
     Nanos end;
   };
   struct Channel {
-    // Sorted by start and non-overlapping, so ends are sorted too.
+    // busy[head..] are the live intervals, sorted by start and
+    // non-overlapping, so ends are sorted too. busy[..head) are collapsed
+    // ones not yet erased: dropping them one by one would move the whole
+    // vector each time.
     std::vector<Interval> busy;
+    size_t head = 0;
   };
 
   /// Registry handles, resolved once by BindMetrics so the per-request cost

@@ -62,39 +62,56 @@ uint32_t ReferenceCrc32c(std::span<const uint8_t> data, uint32_t crc) {
   return c ^ 0xFFFFFFFFu;
 }
 
+// The kernels under test: the dispatched one (SSE4.2 on most x86 hosts) and
+// the portable table kernel, which CPUs without SSE4.2 run instead.
+struct Kernel {
+  const char* name;
+  uint32_t (*fn)(std::span<const uint8_t>, uint32_t);
+};
+constexpr Kernel kKernels[] = {
+    {"Crc32c", &Crc32c},
+    {"Crc32cPortable", &crc32_internal::Crc32cPortable},
+};
+
 TEST(Crc32cTest, MatchesByteTableAtEveryLengthAndAlignment) {
   constexpr size_t kMaxLen = 1024;
   constexpr size_t kMaxOffset = 8;
-  Rng rng(2024);
-  Bytes buf(kMaxLen + kMaxOffset);
-  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
-  for (size_t offset = 0; offset < kMaxOffset; ++offset) {
-    for (size_t len = 0; len <= kMaxLen; ++len) {
-      std::span<const uint8_t> data(buf.data() + offset, len);
-      uint32_t seed = static_cast<uint32_t>(rng.Next());
-      ASSERT_EQ(Crc32c(data), ReferenceCrc32c(data, 0))
-          << "offset=" << offset << " len=" << len;
-      ASSERT_EQ(Crc32c(data, seed), ReferenceCrc32c(data, seed))
-          << "offset=" << offset << " len=" << len << " seed=" << seed;
+  for (const Kernel& k : kKernels) {
+    Rng rng(2024);
+    Bytes buf(kMaxLen + kMaxOffset);
+    for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+    for (size_t offset = 0; offset < kMaxOffset; ++offset) {
+      for (size_t len = 0; len <= kMaxLen; ++len) {
+        std::span<const uint8_t> data(buf.data() + offset, len);
+        uint32_t seed = static_cast<uint32_t>(rng.Next());
+        ASSERT_EQ(k.fn(data, 0), ReferenceCrc32c(data, 0))
+            << k.name << " offset=" << offset << " len=" << len;
+        ASSERT_EQ(k.fn(data, seed), ReferenceCrc32c(data, seed))
+            << k.name << " offset=" << offset << " len=" << len
+            << " seed=" << seed;
+      }
     }
   }
 }
 
 TEST(Crc32cTest, RandomSplitsStreamLikeOneShot) {
-  Rng rng(7);
-  for (int trial = 0; trial < 200; ++trial) {
-    Bytes data(rng.Uniform(4096));
-    for (auto& b : data) b = static_cast<uint8_t>(rng.Next());
-    uint32_t seed = trial % 2 == 0 ? 0 : static_cast<uint32_t>(rng.Next());
-    uint32_t whole = ReferenceCrc32c(data, seed);
-    std::span<const uint8_t> rest(data);
-    uint32_t crc = seed;
-    while (!rest.empty()) {
-      size_t n = 1 + rng.Uniform(rest.size());
-      crc = Crc32c(rest.first(n), crc);
-      rest = rest.subspan(n);
+  for (const Kernel& k : kKernels) {
+    Rng rng(7);
+    for (int trial = 0; trial < 200; ++trial) {
+      Bytes data(rng.Uniform(4096));
+      for (auto& b : data) b = static_cast<uint8_t>(rng.Next());
+      uint32_t seed = trial % 2 == 0 ? 0 : static_cast<uint32_t>(rng.Next());
+      uint32_t whole = ReferenceCrc32c(data, seed);
+      std::span<const uint8_t> rest(data);
+      uint32_t crc = seed;
+      while (!rest.empty()) {
+        size_t n = 1 + rng.Uniform(rest.size());
+        crc = k.fn(rest.first(n), crc);
+        rest = rest.subspan(n);
+      }
+      ASSERT_EQ(crc, whole) << k.name << " trial=" << trial
+                            << " size=" << data.size();
     }
-    ASSERT_EQ(crc, whole) << "trial=" << trial << " size=" << data.size();
   }
 }
 

@@ -7,7 +7,8 @@
 // in-order arrivals. The differential test replays out-of-order arrivals on
 // a test-local copy of the front-to-back interval scan, with the same
 // insert/merge/collapse bookkeeping, and checks every request's start and
-// completion and the collapse count against it.
+// completion and the collapse count against it, across the cap's
+// compaction of collapsed intervals too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -223,6 +224,38 @@ TEST_P(DeviceDifferentialTest, ScheduleMatchesFrontToBackScan) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeviceDifferentialTest,
                          ::testing::Values(1u, 2u, 3u, 17u, 99u, 12345u));
+
+// Device drops collapsed intervals lazily and erases them in one move per
+// kMaxIntervals collapses. One channel with sparse arrivals collapses on
+// nearly every op once full, so this run crosses that compaction at least
+// twice. The first op arrives late: far jumps back then land either in the
+// oldest live gaps or in the idle stretch before every booked interval,
+// where the new interval goes in front of the collapsed ones.
+TEST(DeviceCompactionTest, SingleChannelMatchesReferenceAcrossCompactions) {
+  constexpr size_t kCap = ReferenceDevice::kMaxIntervals;
+  Rng rng(4242);
+  Device device({.name = "compact", .channels = 1, .latency = 100,
+                 .bytes_per_sec = 1e9});
+  ReferenceDevice reference(1);
+  Nanos horizon = 10'000'000;  // idle before the first op
+  for (int i = 0; i < 14000; ++i) {
+    Nanos arrival;
+    if (rng.Uniform(10) == 0) {
+      arrival = horizon - rng.Uniform(horizon + 1);  // far behind
+    } else {
+      horizon += 200 + rng.Uniform(2000);  // leaves a gap after the last op
+      arrival = horizon;
+    }
+    uint64_t bytes = rng.Uniform(256);
+    ServeStats got;
+    device.Serve(arrival, bytes, 0, &got);
+    ServeStats want = reference.Serve(arrival, device.ServiceTime(bytes));
+    ASSERT_EQ(got.start, want.start) << "op " << i << " arrival " << arrival;
+    ASSERT_EQ(got.done, want.done) << "op " << i << " arrival " << arrival;
+  }
+  EXPECT_GE(reference.collapsed(), 2 * kCap);
+  EXPECT_EQ(device.intervals_collapsed(), reference.collapsed());
+}
 
 }  // namespace
 }  // namespace diesel::sim
